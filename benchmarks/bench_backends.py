@@ -6,13 +6,16 @@ ram / rotating disk / dram_tmpfs / nvram_tmpfs) under the same TPC-A
 workload and measures what durability costs on each medium, then adds
 group commit and measures what batching buys back.
 
-Two invariants are enforced, matching the crash tests:
+Three invariants are enforced, matching the crash tests:
 
 * group commit must beat synchronous commit by >= 2x TPC-A throughput
   on the rotating disk (the backend it exists for);
 * the final recovered state must be byte-identical across every
   backend and commit mode — backend choice changes *when*, never
-  *what*.
+  *what*;
+* recovery really replays a write-ahead log: the run ends between two
+  truncations with its last group flushed, so every config recovers
+  committed transactions from the WAL, not only from the disk images.
 
 Results land in ``BENCH_backends.json``.
 """
@@ -30,13 +33,17 @@ from repro.rvm import RVM, TPCABenchmark
 RESULT_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_backends.json"
 
 DEVICE_BYTES = 8 * 1024 * 1024
-TRANSACTIONS = 80
 GROUP_SIZE = 8
 
 #: Same truncation interval in both modes — truncation flushes the log
 #: regardless, so truncating every transaction would silently cap the
 #: batch size at 1 and the comparison would measure nothing.
 TRUNCATE_EVERY = 16
+
+#: Five truncation intervals plus one whole group: the run stops
+#: between truncations right after a group flush, so the WAL still
+#: holds GROUP_SIZE committed transactions for recovery to replay.
+TRANSACTIONS = 5 * TRUNCATE_EVERY + GROUP_SIZE
 
 
 def _run_config(fresh_machine, device_name, grouped):
@@ -110,6 +117,10 @@ def test_backends_tpca_sync_vs_group(benchmark, fresh_machine):
     hashes = {r["recovered_sha256"] for r in rows}
     assert len(hashes) == 1, "recovered state diverged across backends"
     assert all(r["committed_txns"] == rows[0]["committed_txns"] for r in rows)
+    # ... and that state came through WAL replay on every row.
+    assert all(r["committed_txns"] > 0 for r in rows), (
+        "the WAL was empty at the end of the run; recovery replayed nothing"
+    )
     # Group commit is why you would ever log to the slow disk.
     assert speedups["disk"] >= 2.0, (
         f"group commit speedup on disk {speedups['disk']:.2f}x below 2x"

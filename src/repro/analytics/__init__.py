@@ -11,9 +11,8 @@ changes than the sequence of checkpoints" — this package mines it
 * :mod:`repro.analytics.stream` — :class:`LogTap` consumes a
   :class:`~repro.core.log_segment.LogSegment` tail incrementally with
   *untimed functional reads* (zero cycle perturbation), and
-  :class:`AnalyticsHub` is the module-global gate the logger pokes
-  after each drain (the same one-``None``-check pattern as
-  :mod:`repro.obs.core` and :mod:`repro.faults.plan`).
+  :class:`AnalyticsHub` is the :mod:`repro.probe` spine subscriber
+  the logger's ``log_drained`` event reaches after each drain.
 * :mod:`repro.analytics.policy` — the two closed loops: a
   :class:`CheckpointTuner` picking the Time Warp snapshot interval
   from observed re-dirty and rollback rates, and a

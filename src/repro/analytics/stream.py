@@ -1,25 +1,21 @@
-"""The streaming consumer framework: log taps behind one gate.
+"""The streaming consumer framework: log taps on the probe spine.
 
 A :class:`LogTap` follows one :class:`~repro.core.log_segment.LogSegment`
 by cursor, decoding only the tail appended since its last visit and
 feeding the :mod:`repro.analytics.core` folds.  All reads are *untimed
 functional reads* (``Segment.read_bytes``), so an attached tap is
 cycle- and log-record-identical to no tap by construction — the
-exactness test in ``tests/analytics`` holds this.
+spine-wide exactness test (``tests/test_probe_exactness.py``) holds
+this.
 
-The :class:`AnalyticsHub` is installed as the module-global
-``_ACTIVE`` and poked by the hardware logger after each drain with the
-same one-``None``-check gate the fault and observability layers use
-(lvm-san rule LVM004)::
-
-    h = anstream._ACTIVE
-    if h is not None:
-        h.notify(now)
-
-so the disabled cost is one global load and identity test per drain.
-The kernel auto-registers logs with the hub as regions bind
-(``Kernel.attach_region_log``) and reports rewinds so tap cursors
-never read a rolled-back tail as fresh data.
+The :class:`AnalyticsHub` is a :mod:`repro.probe` subscriber (kind
+``analytics``).  The hardware logger emits ``log_drained`` after each
+drain behind the spine's one gate, so a detached hub costs one global
+load and identity test per drain.  The kernel's ``log_watched`` event
+registers logs with the hub as regions bind
+(``Kernel.attach_region_log``), and ``log_rewound`` reports rewinds so
+tap cursors never read a rolled-back tail as fresh data.  Gauges and
+counter tracks go back onto the spine for the span layer to write.
 
 Crash recovery: a tap holds only volatile state, all of it a pure
 function of the durable log — :func:`rebuild_tap` re-folds the
@@ -29,11 +25,9 @@ retained records after a crash (fault site ``analytics.rebuild``).
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 
-from repro.errors import ConfigError
+from repro import probe
 from repro.faults import plan as faultplan
-from repro.obs import core as obscore
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import RECORD_STRUCT
 from repro.analytics.core import (
@@ -245,6 +239,13 @@ class AnalyticsHub:
     # ------------------------------------------------------------------
     # The consumer side (poked by Logger.drain/flush)
     # ------------------------------------------------------------------
+    def probes(self) -> dict:
+        return {
+            "log_drained": self.notify,
+            "log_watched": self.watch,
+            "log_rewound": self.log_rewound,
+        }
+
     def notify(self, now_cycle: int) -> int:
         """Advance every tap; export and sample when anything was new."""
         consumed = 0
@@ -252,32 +253,25 @@ class AnalyticsHub:
             consumed += tap.advance()
         if consumed:
             self.records_consumed += consumed
-            o = obscore._ACTIVE
-            if o is not None:
-                self._export(o, now_cycle)
+            sp = probe._ACTIVE
+            if sp is not None:
+                self._export(sp, now_cycle)
             callback = self.on_sample
             if callback is not None:
                 callback(now_cycle, self)
         return consumed
 
-    def _export(self, o, ts: int) -> None:
+    def _export(self, sp, ts: int) -> None:
         """Publish per-tap gauges and Perfetto counter tracks."""
-        metrics = o.metrics
         for tap in self.taps:
             prefix = f"analytics.{tap.name}"
-            metrics.set_gauge(f"{prefix}.records", tap.stats.record_count)
-            metrics.set_gauge(
-                f"{prefix}.pages_touched", tap.stats.pages_touched
-            )
-            metrics.set_gauge(f"{prefix}.wss", tap.wss.latest)
-            metrics.set_gauge(
-                f"{prefix}.write_rate_per_1k_ts", tap.write_rate.value
-            )
-            metrics.set_gauge(
-                f"{prefix}.log_bytes", tap.retained_bytes
-            )
-            o.counter_track("metrics", f"{prefix}.wss", ts, tap.wss.latest)
-            o.counter_track(
+            sp.set_gauge(f"{prefix}.records", tap.stats.record_count)
+            sp.set_gauge(f"{prefix}.pages_touched", tap.stats.pages_touched)
+            sp.set_gauge(f"{prefix}.wss", tap.wss.latest)
+            sp.set_gauge(f"{prefix}.write_rate_per_1k_ts", tap.write_rate.value)
+            sp.set_gauge(f"{prefix}.log_bytes", tap.retained_bytes)
+            sp.counter_track("metrics", f"{prefix}.wss", ts, tap.wss.latest)
+            sp.counter_track(
                 "metrics", f"{prefix}.records", ts, tap.stats.record_count
             )
 
@@ -291,38 +285,7 @@ class AnalyticsHub:
         }
 
 
-# ----------------------------------------------------------------------
-# The installed hub (module-global; hot paths check ``is None``)
-# ----------------------------------------------------------------------
-_ACTIVE: AnalyticsHub | None = None
-
-
-def active() -> AnalyticsHub | None:
-    """The currently installed hub, or None."""
-    return _ACTIVE
-
-
-def install(hub: AnalyticsHub) -> AnalyticsHub:
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ConfigError("an AnalyticsHub is already installed")
-    _ACTIVE = hub
-    return hub
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(hub: AnalyticsHub):
-    """Install ``hub`` for the duration of the block."""
-    install(hub)
-    try:
-        yield hub
-    finally:
-        uninstall()
+active, install, uninstall, installed = probe.registry("analytics", AnalyticsHub)
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,10 @@ the crash-consistency sweep drives every backend identically.
 
 from __future__ import annotations
 
+from repro import probe
 from repro.errors import AddressError
 from repro.faults import plan as faultplan
 from repro.hw.cpu import CPU
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 
 #: Transfer block size for cost accounting.
 BLOCK_BYTES = 256
@@ -128,37 +126,16 @@ class LogDevice:
             # the full write reached the platter) and tracks the
             # unflushed reorder window.
             fp.disk_write(self, cpu, offset, data)
-        o = obscore._ACTIVE
-        start_cycle = cpu.now if o is not None else 0
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.flow_step(cpu.now, cpu.index)
-            ca.device_enter(cpu.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("device.write", start, cpu.index)
         self._data[offset : offset + len(data)] = data
         self.write_ops += 1
         self.bytes_written += len(data)
         cpu.compute(self._write_cost(offset, len(data)))
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.write", self.name, len(data))
-        if o is not None:
-            # After the data lands: a CrashPoint in the fault hook must
-            # not leave a span for an I/O that never happened.
-            o.metrics.inc("rvm.disk.writes")
-            o.metrics.inc("rvm.disk.bytes_written", len(data))
-            # The I/O cost is charged to the issuing CPU (these devices
-            # have no concurrent transfer engine), so the span lives on
-            # the CPU's track and nests under wal.append / rvm.commit.
-            o.span(
-                "disk",
-                "disk.write",
-                start_cycle,
-                cpu.now,
-                cpu.index,
-                args={"bytes": len(data), "backend": self.name},
-            )
+        if sp is not None:
+            sp.stage_close("device.write", start, cpu.now, cpu.index, self.name, len(data))
 
     def read(self, cpu: CPU, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``; charges ``cpu``."""
@@ -167,20 +144,14 @@ class LogDevice:
         fp = faultplan._ACTIVE
         if fp is not None:
             fp.disk_read(self)  # a timed read is a write barrier
-        o = obscore._ACTIVE
-        start_cycle = cpu.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("device.read", start, cpu.index)
         self.read_ops += 1
         cpu.compute(self._read_cost(offset, length))
-        if o is not None:
-            o.metrics.inc("rvm.disk.reads")
-            o.span(
-                "disk",
-                "disk.read",
-                start_cycle,
-                cpu.now,
-                cpu.index,
-                args={"bytes": length, "backend": self.name},
-            )
+        if sp is not None:
+            sp.stage_close("device.read", start, cpu.now, cpu.index, self.name, length)
         return bytes(self._data[offset : offset + length])
 
     # ------------------------------------------------------------------
@@ -188,19 +159,14 @@ class LogDevice:
     # ------------------------------------------------------------------
     def flush(self, cpu: CPU) -> None:
         """Make buffered appends durable (no-op on synchronous devices)."""
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.stage_enter("barrier", cpu.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("device.flush", start, cpu.index)
         flush_point(cpu)
         self.flush_ops += 1
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.flush", self.name, 0)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("rvm.disk.flushes")
+        if sp is not None:
+            sp.stage_close("device.flush", start, cpu.now, cpu.index, self.name, 0)
 
     def barrier(self, cpu: CPU) -> None:
         """Flush, then stabilise everything already written.
@@ -210,19 +176,14 @@ class LogDevice:
         scans the log back and resets the head.
         """
         self.flush(cpu)
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.stage_enter("barrier", cpu.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("device.barrier", start, cpu.index)
         barrier_point(self, cpu)
         self.barrier_ops += 1
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.barrier", self.name, 0)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("rvm.disk.barriers")
+        if sp is not None:
+            sp.stage_close("device.barrier", start, cpu.now, cpu.index, self.name, 0)
 
     def lose_volatile(self) -> None:
         """Crash semantics: drop anything not yet durable (no-op here)."""

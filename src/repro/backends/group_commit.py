@@ -34,12 +34,10 @@ package is.  Stacking group commit on group commit is rejected.
 
 from __future__ import annotations
 
+from repro import probe
 from repro.backends.base import LogDevice, barrier_point, flush_point
 from repro.errors import AddressError, ConfigError
 from repro.hw.cpu import CPU
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 
 #: Buffer-management cost per buffered append (list insertion + copy —
 #: no kernel crossing, no device).
@@ -125,24 +123,17 @@ class GroupCommit:
         """Buffer an append; durable only after the next flush."""
         if offset < 0 or offset + len(data) > self.size:
             raise AddressError(f"{self.name} device write out of range")
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.flow_step(cpu.now, cpu.index)
-            ca.device_enter(cpu.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("device.buffer", start, cpu.index)
         blocks = LogDevice._blocks(len(data))
         cpu.compute(self.buffer_op_cycles + blocks * self.buffer_per_block_cycles)
         self._buffer(offset, data)
         self.write_ops += 1
         self.bytes_written += len(data)
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.buffer", self.name, len(data))
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("rvm.disk.buffered_writes")
-            o.metrics.inc("rvm.disk.bytes_buffered", len(data))
+        if sp is not None:
+            sp.stage_close("device.buffer", start, cpu.now, cpu.index, self.name, len(data))
         if self.pending_bytes > self.max_pending_bytes:
             self.flush(cpu)
 
@@ -160,43 +151,31 @@ class GroupCommit:
         The ``backend.flush`` site fires before any run is written, so
         a crash there loses the entire unacknowledged batch.
         """
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.stage_enter("barrier", cpu.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("device.flush", start, cpu.index)
         flush_point(cpu)
         self.flush_ops += 1
         runs, self._pending = self._pending, []
         for offset, data in runs:
-            # The inner write's own hook nests a "device" stage inside
+            # The inner write's own stage nests a "device" stage inside
             # this "barrier" stage, attributing the medium time exactly.
             self.inner.write(cpu, offset, bytes(data))
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.flush", self.name, len(runs))
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("rvm.disk.flushes")
-            if runs:
-                o.metrics.inc("rvm.disk.flushed_runs", len(runs))
+        if sp is not None:
+            sp.stage_close("device.flush", start, cpu.now, cpu.index, self.name, len(runs))
 
     def barrier(self, cpu: CPU) -> None:
         """Flush, then stabilise the inner device's reorder window."""
         self.flush(cpu)
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.stage_enter("barrier", cpu.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("device.barrier", start, cpu.index)
         barrier_point(self.inner, cpu)
         self.barrier_ops += 1
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.barrier", self.name, 0)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("rvm.disk.barriers")
+        if sp is not None:
+            sp.stage_close("device.barrier", start, cpu.now, cpu.index, self.name, 0)
 
     def lose_volatile(self) -> None:
         """Power fails: the buffered batch is gone."""

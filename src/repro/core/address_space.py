@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro import probe
 from repro.errors import (
     BindError,
     ProtectionError,
@@ -29,7 +30,6 @@ from repro.hw.cpu import CPU
 from repro.hw.memory import Frame
 from repro.hw.params import PAGE_SIZE
 from repro.core import bulk
-from repro.obs import core as obscore
 from repro.core.deferred_copy import ResetStats, reset_cost_cycles
 from repro.core.region import Region
 
@@ -155,11 +155,11 @@ class AddressSpace:
     def _resolve(self, cpu: CPU, vaddr: int, size: int) -> PageTableEntry:
         if vaddr % PAGE_SIZE + size > PAGE_SIZE:
             raise SegmentError("access crosses a page boundary")
-        o = obscore._ACTIVE
-        if o is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             # Every _resolve call is a translation-cache miss on the
             # fast access path (or a forced re-check of a protected PTE).
-            o.metrics.inc("core.tc_misses")
+            sp.inc("core.tc_misses")
         vpn = vaddr // PAGE_SIZE
         pte = self._page_table.get(vpn)
         if pte is None:
@@ -329,22 +329,9 @@ class AddressSpace:
             stats = seg.reset_deferred_copy(lo - region.base_va, hi - region.base_va)
             total = total + stats
         cpu.compute(reset_cost_cycles(self.machine.config, total))
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("core.deferred_copy_resets")
-            o.metrics.inc("core.deferred_copy_dirty_pages", total.dirty_pages)
-            o.span(
-                "vm",
-                "vm.reset_deferred_copy",
-                start_cycle,
-                cpu.now,
-                cpu.index,
-                args={
-                    "pages_scanned": total.pages_scanned,
-                    "dirty_pages": total.dirty_pages,
-                    "dirty_lines": total.dirty_lines,
-                },
-            )
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.deferred_copy_reset(start_cycle, cpu.now, cpu.index, total)
         return total
 
     # Table-1-style alias.

@@ -27,14 +27,13 @@ import struct
 from itertools import count as _icount, repeat as _irepeat
 from typing import TYPE_CHECKING
 
+from repro import probe
 from repro.errors import ProtectionError
 from repro.faults import plan as faultplan
-from repro.obs import core as obscore
 from repro.hw.bus import BusWrite
 from repro.hw.logger import LogMode
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import RECORD_STRUCT
-from repro.sanitize import race as racesan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.cpu import CPU
@@ -156,16 +155,16 @@ def _write_run(
         elif _write_run_bus_logged(
             cpu, machine, pte, segment, chunk, va, seg_offset, paddr_base
         ):
-            o = obscore._ACTIVE
-            if o is not None:
-                o.metrics.inc("core.bulk.write_runs_fast")
+            sp = probe._ACTIVE
+            if sp is not None:
+                sp.inc("core.bulk.write_runs_fast")
         else:
             # Unusual configuration (modeled L2, extra snoopers) or an
             # installed fault plan / detailed tracer: use the
             # word-at-a-time path, which is always exact.
-            o = obscore._ACTIVE
-            if o is not None:
-                o.metrics.inc("core.bulk.write_runs_slow")
+            sp = probe._ACTIVE
+            if sp is not None:
+                sp.inc("core.bulk.write_runs_slow")
             for off, size in access_steps(va, len(chunk)):
                 value = int.from_bytes(chunk[off : off + size], "little")
                 aspace.write(cpu, va + off, value, size)
@@ -285,20 +284,17 @@ def _write_run_bus_logged(
     snoopers = bus._snoopers
     if cpu.l2 is not None or len(snoopers) != 1 or snoopers[0] is not logger:
         return False
-    if faultplan._ACTIVE is not None:
-        # The fused loop bypasses the instrumented FIFO/logger paths;
-        # fault plans need every record to visit the injection sites.
+    sp = probe._ACTIVE
+    if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
+        # The fused loop bypasses the instrumented FIFO/logger paths:
+        # fault plans need every record to visit the injection sites,
+        # and per-word trace spans live on the generic paths.
         return False
-    if obscore.trace_detail_active():
-        # Per-word trace spans live on the generic paths; tracing falls
-        # back so the trace is cycle-identical to the untraced run.
-        return False
-    det = racesan._ACTIVE
-    if det is not None:
+    if sp is not None:
         # The fused loop never calls SystemBus.write_transaction, so
-        # report the whole run to the race sanitizer as one logged
-        # write (same page span, same writer) before taking it.
-        det.logged_run(cpu.index, paddr_base, len(chunk), cpu._now)
+        # report the whole run as one logged write (same page span,
+        # same writer) before taking it.
+        sp.logged_run(cpu.index, paddr_base, len(chunk), cpu._now)
 
     segment.write_bytes(seg_offset, chunk)
 

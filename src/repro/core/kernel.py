@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.analytics import stream as anstream
+from repro import probe
 from repro.errors import LoggingError, UnsupportedOperationError
 from repro.hw.cpu import CPU
 from repro.hw.interrupts import Interrupt
@@ -28,7 +28,6 @@ from repro.hw.params import PAGE_SIZE
 from repro.core.address_space import AddressSpace, PageTableEntry
 from repro.core.log_segment import LogSegment
 from repro.core.region import Region
-from repro.obs import core as obscore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.machine import Machine
@@ -92,8 +91,8 @@ class Kernel:
         mapping table." (section 3.2)
         """
         self.stats.page_faults += 1
-        o = obscore._ACTIVE
-        fault_start = cpu.now if o is not None else 0
+        sp = probe._ACTIVE
+        fault_start = cpu.now if sp is not None else 0
         region = aspace.region_at(vaddr)
         page_index = (vaddr - region.base_va) // PAGE_SIZE
         page = region.segment.page(page_index)
@@ -113,14 +112,14 @@ class Kernel:
             cpu.compute(self.config.logged_page_fault_extra_cycles)
             self._load_logger_entries(region, pte)
         aspace.install_pte(pte)
-        if o is not None:
-            o.span(
+        if sp is not None:
+            sp.span(
                 "kernel",
                 "kernel.page_fault",
                 fault_start,
                 cpu.now,
                 cpu.index,
-                args={"vaddr": vaddr, "logged": logged},
+                {"vaddr": vaddr, "logged": logged},
             )
         return pte
 
@@ -133,8 +132,8 @@ class Kernel:
         (Li & Appel checkpointing).
         """
         self.stats.protection_faults += 1
-        o = obscore._ACTIVE
-        trap_start = cpu.now if o is not None else 0
+        sp = probe._ACTIVE
+        trap_start = cpu.now if sp is not None else 0
         cpu.compute(self.config.protection_trap_cycles)
         region = pte.region
         handler = region.protection_handler
@@ -142,16 +141,8 @@ class Kernel:
             handler(region, vaddr)
             if pte.page_index not in region.protected_pages:
                 pte.write_protected = False
-        if o is not None:
-            o.metrics.inc("kernel.protection_traps")
-            o.span(
-                "kernel",
-                "kernel.protection_trap",
-                trap_start,
-                cpu.now,
-                cpu.index,
-                args={"vaddr": vaddr},
-            )
+        if sp is not None:
+            sp.protection_trap(trap_start, cpu.now, cpu.index, vaddr)
 
     def _load_logger_entries(self, region: Region, pte: PageTableEntry) -> None:
         """Load PMT (and direct-map) entries for a logged page."""
@@ -216,9 +207,9 @@ class Kernel:
                 pte.logged = True
                 pte.log_index = region.log_index
                 self._load_logger_entries(region, pte)
-        h = anstream._ACTIVE
-        if h is not None:
-            h.watch(log)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.log_watched(log)
 
     def detach_region_log(self, region: Region, cpu: CPU | None = None) -> None:
         """Deactivate logging for a region (dynamic disable, unbind,
@@ -295,9 +286,9 @@ class Kernel:
         addr = log.hw_append_paddr()
         if addr is not None:
             self.machine.logger.resume_log(index, addr)
-        h = anstream._ACTIVE
-        if h is not None:
-            h.log_rewound(log)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.log_rewound(log)
 
     def log_extended(self, log: LogSegment) -> None:
         """The user extended a log; resume it if it was absorbing.
@@ -388,7 +379,7 @@ class Kernel:
         """Suspend all CPUs until the FIFOs have drained (section 3.1.3)."""
         self.stats.overloads += 1
         resume = drain_complete_cycle + self.config.overload_suspend_cycles
-        o = obscore._ACTIVE
-        if o is not None:
-            o.instant("kernel", "kernel.overload_suspend", drain_complete_cycle)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.instant("kernel", "kernel.overload_suspend", drain_complete_cycle)
         self.machine.suspend_all_until(resume)

@@ -33,8 +33,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
+from repro import probe
 from repro.errors import ConfigError
-from repro.obs import flight as obsflight
 
 #: Site hit once per durable RAM disk write (supports modes
 #: ``before`` / ``torn`` / ``after``).
@@ -217,9 +217,9 @@ class FaultPlan:
         payload).
         """
         n = self._note(site)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cycle if cycle is not None else 0, "fault.hit", site, n)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.fault_hit(cycle if cycle is not None else 0, site, n)
         if partial is not None:
             self.torn_capable.add(site)
         if self.fired:
@@ -346,20 +346,18 @@ class FaultPlan:
             else:
                 surviving.append((disk, offset, offset + len(old)))
         snapshot = self._snapshot_fn() if self._snapshot_fn is not None else None
-        # Imported here: obs.core imports nothing from faults, but this
-        # module is imported by hw/core modules obs itself instruments.
-        from repro.obs import core as obscore
-
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(0, "fault.crash", site, n)
+        state: dict = {}
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.fault_crash(site, n)
+            state = sp.crash_state()
         raise CrashPoint(
             site,
             n,
             snapshot,
             repr(self),
-            obscore.metrics_snapshot_if_active(),
-            obsflight.tail_if_active(),
+            state.get("metrics"),
+            state.get("flight"),
         )
 
 

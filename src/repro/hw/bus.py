@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Protocol
 
-from repro.obs import core as obscore
-from repro.obs.trace import TID_BUS
-from repro.sanitize import race as racesan
+from repro import probe
 
 
 class BusWrite(NamedTuple):
@@ -74,14 +72,9 @@ class SystemBus:
         self._busy_until = complete
         self.total_busy_cycles += bus_cycles
         self.transaction_count += 1
-        o = obscore._ACTIVE
-        if o is not None:
-            # Contention = cycles the requester waited for the bus.
-            if start > request_cycle:
-                o.metrics.inc("hw.bus.wait_cycles", start - request_cycle)
-            tracer = o.tracer
-            if tracer is not None and "bus" in tracer.categories:
-                tracer.complete("bus", "bus.txn", start, bus_cycles, TID_BUS)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.bus_txn(request_cycle, start, bus_cycles)
         return complete
 
     def write_transaction(
@@ -94,9 +87,9 @@ class SystemBus:
         write FIFO.
         """
         complete = self.acquire(request_cycle, bus_cycles)
-        det = racesan._ACTIVE
-        if det is not None and write.log_tag is not None:
-            det.logged_run(write.cpu_index, write.paddr, write.size, complete)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.bus_write(complete, write)
         for snooper in self._snoopers:
             snooper.snoop_write(complete, write)
         return complete

@@ -29,11 +29,8 @@ from __future__ import annotations
 import enum
 from typing import Protocol
 
-from repro.analytics import stream as anstream
+from repro import probe
 from repro.faults import plan as faultplan
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
-from repro.obs.trace import TID_LOGGER
 from repro.hw.bus import BusWrite, SystemBus
 from repro.hw.clock import Clock
 from repro.hw.fifo import HardwareFifo, PushResult
@@ -217,16 +214,11 @@ class Logger:
             return
         self.drain(complete_cycle)
         result = self.write_fifo.push(complete_cycle, write)
-        o = obscore._ACTIVE
-        if o is not None:
-            tracer = o.tracer
-            if tracer is not None and "logger" in tracer.categories:
-                tracer.counter(
-                    "logger",
-                    "logger.fifo_depth",
-                    complete_cycle,
-                    len(self.write_fifo._entries),
-                )
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.counter_track(
+                "logger", "logger.fifo_depth", complete_cycle, len(self.write_fifo._entries)
+            )
         if result is PushResult.THRESHOLD:
             self._handle_overload(complete_cycle)
         elif result is PushResult.OVERFLOW:
@@ -249,9 +241,9 @@ class Logger:
         if start + self.config.logger_service_cycles > now:
             return
         self._drain_fast(now)
-        h = anstream._ACTIVE
-        if h is not None:
-            h.notify(now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.log_drained(now)
 
     def flush(self) -> int:
         """Service every queued write regardless of time.
@@ -261,9 +253,9 @@ class Logger:
         """
         if self.write_fifo._entries:
             self._drain_fast(None)
-            h = anstream._ACTIVE
-            if h is not None:
-                h.notify(self._service_free)
+            sp = probe._ACTIVE
+            if sp is not None:
+                sp.log_drained(self._service_free)
         return self._service_free
 
     def _drain_fast(self, limit: int | None) -> None:
@@ -280,7 +272,8 @@ class Logger:
         """
         entries = self.write_fifo._entries
         service = self.config.logger_service_cycles
-        if faultplan._ACTIVE is not None or obscore.trace_detail_active():
+        sp = probe._ACTIVE
+        if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
             # Injection sites and trace spans live on the generic path;
             # route every record through _process so "logger.dma" fires
             # per record (cycle charges are identical either way).
@@ -409,19 +402,9 @@ class Logger:
         faultplan.hit("logger.overload", cycle=now)
         self.stats.overload_events += 1
         drain_complete = self.flush()
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(now, "logger.overload", drain_complete, 0)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("hw.logger.overload_drains")
-            o.span(
-                "logger",
-                "logger.overload_drain",
-                now,
-                max(now, drain_complete),
-                TID_LOGGER,
-            )
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.logger_overload(now, drain_complete)
         if self._fault_handler is not None:
             self._fault_handler.overload(max(now, drain_complete))
         self.clock.advance_to(drain_complete)
@@ -439,12 +422,9 @@ class Logger:
                 return
             log_index, cycles = handler.pmt_miss(write.paddr)
             self._service_free += cycles
-            o = obscore._ACTIVE
-            if o is not None:
-                # Fault service stalls the whole pipeline (the FIFO backs
-                # up behind it) — the paper's "logging fault" penalty.
-                o.metrics.inc("hw.logger.stall_cycles", cycles)
-                o.instant("logger", "logger.pmt_fault", complete_cycle, TID_LOGGER)
+            sp = probe._ACTIVE
+            if sp is not None:
+                sp.logging_fault("logger.pmt_fault", complete_cycle, cycles)
             # The record cannot proceed down the pipeline until the fault
             # service completes: its DMA and timestamp happen at the later
             # of the bus completion and the fault-handler return.
@@ -468,12 +448,9 @@ class Logger:
             if handler is not None:
                 new_addr, cycles = handler.log_boundary(log_index)
                 self._service_free += cycles
-                o = obscore._ACTIVE
-                if o is not None:
-                    o.metrics.inc("hw.logger.stall_cycles", cycles)
-                    o.instant(
-                        "logger", "logger.boundary_fault", complete_cycle, TID_LOGGER
-                    )
+                sp = probe._ACTIVE
+                if sp is not None:
+                    sp.logging_fault("logger.boundary_fault", complete_cycle, cycles)
                 if self._service_free > complete_cycle:
                     complete_cycle = self._service_free
             if new_addr is None:
@@ -507,24 +484,13 @@ class Logger:
         # A crash here loses a record that was latched but not yet DMA'd.
         faultplan.hit("logger.dma", cycle=complete_cycle)
         dma_done = self.bus.acquire(complete_cycle, self.config.log_dma_bus_cycles)
-        o = obscore._ACTIVE
-        if o is not None:
-            tracer = o.tracer
-            if tracer is not None and "logger" in tracer.categories:
-                tracer.complete(
-                    "logger",
-                    "logger.dma",
-                    complete_cycle,
-                    dma_done - complete_cycle,
-                    TID_LOGGER,
-                    {
-                        "dest": dest,
-                        # The record's own timestamp field, via the one
-                        # Clock.timestamp definition (satellite: no
-                        # ad-hoc division at call sites).
-                        "hw_ts": self.clock.timestamp(complete_cycle),
-                    },
-                )
+        sp = probe._ACTIVE
+        if sp is not None:
+            # hw_ts is the record's own timestamp field, via the one
+            # Clock.timestamp definition.
+            sp.logger_dma(
+                complete_cycle, dma_done, dest, self.clock.timestamp(complete_cycle)
+            )
         self.memory.write_bytes(dest, payload)
         if lost:
             self.stats.records_dropped += 1

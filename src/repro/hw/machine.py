@@ -18,7 +18,7 @@ from repro.hw.logger import Logger
 from repro.hw.memory import PhysicalMemory
 from repro.hw.params import PROTOTYPE, MachineConfig
 from repro.hw.tlb_logger import OnChipLogger
-from repro.sanitize import race as racesan
+from repro import probe
 
 
 class Machine:
@@ -87,11 +87,11 @@ class Machine:
         for cpu in self.cpus:
             cpu.suspend_until(cycle)
         self.clock.advance_to(cycle)
-        det = racesan._ACTIVE
-        if det is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             # Every CPU resumes from the same kernel-driven barrier:
             # writes before the suspension happen-before writes after.
-            det.global_sync()
+            sp.global_sync()
 
     def sync(self, cpu: CPU) -> int:
         """Make ``cpu`` wait until the logger pipeline is idle.
@@ -123,9 +123,9 @@ class Machine:
             cpu.drain_write_buffer()
         settle = self.logger.flush()
         self.clock.advance_to(settle)
-        det = racesan._ACTIVE
-        if det is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             # Quiesce is a machine-wide barrier; everything before it
             # happens-before everything after.
-            det.global_sync()
+            sp.global_sync()
         return self.time()

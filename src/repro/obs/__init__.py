@@ -1,6 +1,6 @@
 """Machine-wide observability in the simulated-cycle time domain.
 
-Three instruments over one gate:
+Three instruments behind the probe spine's one gate:
 
 * :class:`MetricsRegistry` — counters, gauges, and histograms, fed by
   live increments at instrumentation sites plus *polled sources* that
@@ -11,17 +11,17 @@ Three instruments over one gate:
 * :class:`CycleProfiler` — attributes simulated cycles to
   component/site and renders a flat + cumulative report.
 
-All three hang off one :class:`Observability` object installed as a
-module global (the ``faults/`` pattern): uninstrumented hot paths pay
-exactly one ``is None`` check.  See :mod:`repro.obs.core`.
+All three hang off one :class:`Observability` object, a subscriber of
+the :mod:`repro.probe` spine: uninstrumented hot paths pay exactly one
+``is None`` check on the spine's gate.  See :mod:`repro.obs.core`.
 
-Two further instruments share the same gate discipline under their own
-module globals: :class:`CausalTracker` (:mod:`repro.obs.causal`) —
-per-request trace contexts, Perfetto flow events, and critical-path
-stage attribution for the serving front-end — and
-:class:`FlightRecorder` (:mod:`repro.obs.flight`) — an always-on
-bounded ring of recent events captured into every crash point and
-packaged by :mod:`repro.obs.postmortem`.
+Two further instruments subscribe to the same spine:
+:class:`CausalTracker` (:mod:`repro.obs.causal`) — per-request trace
+contexts, Perfetto flow events, and critical-path stage attribution for
+the serving front-end — and :class:`FlightRecorder`
+(:mod:`repro.obs.flight`) — an always-on bounded ring of recent events
+captured into every crash point and packaged by
+:mod:`repro.obs.postmortem`.
 
 The CLI entry points are ``python -m repro trace <workload>`` and
 ``python -m repro obs postmortem`` (:mod:`repro.obs.cli`).
@@ -33,8 +33,6 @@ from repro.obs.core import (
     active,
     install,
     installed,
-    metrics_snapshot_if_active,
-    trace_detail_active,
     uninstall,
 )
 from repro.obs.flight import FlightRecorder
@@ -57,8 +55,6 @@ __all__ = [
     "active",
     "install",
     "installed",
-    "metrics_snapshot_if_active",
-    "trace_detail_active",
     "uninstall",
     "validate_trace",
 ]

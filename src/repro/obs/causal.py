@@ -2,15 +2,17 @@
 
 The serving front-end (:mod:`repro.serve`) mints a deterministic
 request id for every client call and — when a :class:`CausalTracker`
-is installed — carries an explicit :class:`TraceContext` with the
-request as it crosses layers: serve dispatch → RVM/RLVM commit → WAL
-append → group-commit buffer → log device → barrier.  Each layer's
-gate hook does two things:
+is attached to the :mod:`repro.probe` spine — carries an explicit
+:class:`TraceContext` with the request as it crosses layers: serve
+dispatch → RVM/RLVM commit → WAL append → group-commit buffer → log
+device → barrier.  For each stage the spine opens and closes, the
+tracker does two things:
 
 * emits a Perfetto *flow event* (``s``/``t``/``f`` phases sharing the
-  request id) through :mod:`repro.obs.core`, so opening the trace in
-  the Perfetto UI draws arrows from the client's ``serve.req`` span to
-  the WAL-append and device-flush spans it caused, and
+  request id) back onto the spine, where the span layer writes it, so
+  opening the trace in the Perfetto UI draws arrows from the client's
+  ``serve.req`` span to the WAL-append and device-flush spans it
+  caused, and
 * charges elapsed cycles to a named *stage* of the request's critical
   path.
 
@@ -46,19 +48,15 @@ Batched requests each get charged the *full* shared flush cost — the
 per-request sums stay exact, at the price of the stage histograms
 over-counting shared work when ``group_size > 1`` (DESIGN.md §9).
 
-Like every obs facility this is gated (LVM004): hot paths read the
-module global once and test ``is not None``; an uninstalled tracker
-costs one load per hook.  The tracker only *reads* cycle values — it
+Sites reach the tracker only through the spine's one gate; a detached
+tracker costs nothing.  The tracker only *reads* cycle values — it
 never advances any clock — so a tracked run is cycle- and
 log-record-identical to a bare one.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
-from repro.errors import ConfigError
-from repro.obs import core as obscore
+from repro import probe
 from repro.obs.trace import TID_CLIENT_BASE
 
 #: All stage names a TraceContext can accumulate, in pipeline order.
@@ -70,6 +68,17 @@ STAGES = (
     "barrier",
     "group_commit_wait",
 )
+
+#: Spine stage -> the request stage it charges ("device" goes through
+#: :meth:`CausalTracker.device_enter`).
+_SPINE_STAGES = {
+    "wal.append": "wal_append",
+    "wal.append_group": "wal_append",
+    "device.write": "device",
+    "device.buffer": "device",
+    "device.flush": "barrier",
+    "device.barrier": "barrier",
+}
 
 
 class TraceContext:
@@ -195,23 +204,24 @@ class CausalTracker:
     def open_request(self, rid: int, client: int, op: str, now: int) -> TraceContext:
         ctx = TraceContext(rid, client, op, now)
         self.open[rid] = ctx
-        o = obscore._ACTIVE
-        if o is not None:
-            o.flow_start("serve", "serve.req", now, tid=TID_CLIENT_BASE + client, flow_id=rid)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.flow_start("serve", "serve.req", now, TID_CLIENT_BASE + client, rid)
         return ctx
 
-    def dispatch(self, ctx: TraceContext | None, now: int) -> None:
+    def dispatch(self, request, now: int) -> None:
+        ctx = request.ctx
         if ctx is None:
             self.current = []
             return
         ctx.begin(now)
         self.current = [ctx]
-        o = obscore._ACTIVE
-        if o is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             # A *begin* span (closed at dispatch_done) rather than a
             # complete one: if a crash kills the server mid-dispatch,
             # this is the open-span stack the postmortem bundle shows.
-            o.span_begin("serve", f"serve.dispatch.{ctx.op}", now)
+            sp.span_begin("serve", f"serve.dispatch.{ctx.op}", now)
             self._dispatch_open = True
 
     def dispatch_done(self, now: int | None = None) -> None:
@@ -224,9 +234,9 @@ class CausalTracker:
         self.current = []
         if now is not None and self._dispatch_open:
             self._dispatch_open = False
-            o = obscore._ACTIVE
-            if o is not None:
-                o.span_end(now)
+            sp = probe._ACTIVE
+            if sp is not None:
+                sp.span_end(now)
 
     def dispatch_abandoned(self) -> None:
         """Crash mid-dispatch: detach, but leave the span open.
@@ -254,26 +264,26 @@ class CausalTracker:
         ctx.finish(now)
         self.open.pop(ctx.rid, None)
         self.completed.append(ctx)
-        o = obscore._ACTIVE
-        if o is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             tid = TID_CLIENT_BASE + ctx.client
-            o.span(
+            sp.span(
                 "serve",
                 "serve.req",
                 ctx.submit_cycle,
                 now,
                 tid,
-                args={
+                {
                     "rid": ctx.rid,
                     "client": ctx.client,
                     "op": ctx.op,
                     "stages": dict(ctx.stages),
                 },
             )
-            o.flow_end("serve", "serve.req", now, tid=tid, flow_id=ctx.rid)
+            sp.flow_end("serve", "serve.req", now, tid, ctx.rid)
             for stage, cycles in ctx.stages.items():
-                o.metrics.observe(f"serve.stage_cycles.{stage}", cycles)
-            o.metrics.observe("serve.request_cycles", ctx.total)
+                sp.observe(f"serve.stage_cycles.{stage}", cycles)
+            sp.observe("serve.request_cycles", ctx.total)
 
     def drop(self, ctx: TraceContext | None) -> None:
         """Forget a context without acking (crash/failure path)."""
@@ -306,10 +316,43 @@ class CausalTracker:
             ctx.stage_exit(now)
 
     def flow_step(self, ts: int, tid: int = 0) -> None:
-        o = obscore._ACTIVE
-        if o is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             for ctx in self.current:
-                o.flow_step("serve", "serve.req", ts, tid=tid, flow_id=ctx.rid)
+                sp.flow_step("serve", "serve.req", ts, tid, ctx.rid)
+
+    # -- probe-spine subscription ------------------------------------------
+    def probes(self) -> dict:
+        return {
+            "open_request": self.open_request,
+            "dispatch": self.dispatch,
+            "dispatch_done": self.dispatch_done,
+            "dispatch_abandoned": self.dispatch_abandoned,
+            "adopt_batch": self.adopt_batch,
+            "park": self.park,
+            "finish": self.finish,
+            "acked": lambda request, now, *_: self.finish(request.ctx, now),
+            "drop": self.drop,
+            "stage_open": self._stage_open,
+            "stage_close": self._stage_close,
+        }
+
+    def _stage_open(self, site: str, now: int, tid: int) -> None:
+        stage = _SPINE_STAGES.get(site)
+        if stage is None:
+            return
+        if stage == "barrier":
+            self.stage_enter(stage, now)
+            return
+        self.flow_step(now, tid)
+        if stage == "device":
+            self.device_enter(now)
+        else:
+            self.stage_enter(stage, now)
+
+    def _stage_close(self, site: str, start: int, now: int, *_) -> None:
+        if site in _SPINE_STAGES:
+            self.stage_exit(now)
 
     # -- introspection ---------------------------------------------------
     def current_rids(self) -> tuple[int, ...]:
@@ -348,35 +391,4 @@ class CausalTracker:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# The installed tracker (module-global; hot paths check ``is None``)
-# ----------------------------------------------------------------------
-_ACTIVE: CausalTracker | None = None
-
-
-def active() -> CausalTracker | None:
-    """The currently installed tracker, or None."""
-    return _ACTIVE
-
-
-def install(tracker: CausalTracker) -> CausalTracker:
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ConfigError("a CausalTracker is already installed")
-    _ACTIVE = tracker
-    return tracker
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(tracker: CausalTracker | None = None):
-    """Install ``tracker`` (default: a fresh one) for the block."""
-    t = install(tracker if tracker is not None else CausalTracker())
-    try:
-        yield t
-    finally:
-        uninstall()
+active, install, uninstall, installed = probe.registry("causal", CausalTracker)

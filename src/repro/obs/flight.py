@@ -15,14 +15,9 @@ recorder never reads anything but the cycle values handed to it and
 never calls ``compute()``, so a recorded run is cycle- and
 log-record-identical to a bare one.
 
-Gate pattern (the :mod:`repro.faults.plan` / :mod:`repro.obs.core`
-discipline): instrumented sites do::
-
-    fr = flight._ACTIVE
-    if fr is not None:
-        fr.record(cpu.now, "wal.append", kind, nbytes)
-
-so the disabled cost is one global load and identity test.
+The recorder is a :mod:`repro.probe` subscriber (kind ``flight``): it
+maps the spine's stage, serve, logger and fault events to ring
+entries, and hands its tail to every CrashPoint.  Sites never name it.
 
 Event kinds currently recorded (``a``/``b`` are small ints or short
 strings; the ring holds whatever the site found cheap to pass):
@@ -53,9 +48,27 @@ kind                a, b
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 
+from repro import probe
 from repro.errors import ConfigError
+
+#: Spine stage -> the ring's event kind for it.
+_STAGE_KINDS = {
+    "wal.append": "wal.append",
+    "wal.append_group": "wal.append_group",
+    "device.write": "device.write",
+    "device.buffer": "device.buffer",
+    "device.flush": "device.flush",
+    "device.barrier": "device.barrier",
+    "rvm.commit": "rvm.commit",
+    "rlvm.commit": "rvm.commit",
+    "rvm.abort": "rvm.abort",
+    "rlvm.abort": "rvm.abort",
+    "rvm.flush": "rvm.flush",
+    "rlvm.flush": "rvm.flush",
+    "rvm.truncate": "rvm.truncate",
+    "rlvm.truncate": "rvm.truncate",
+}
 
 #: Default ring capacity: enough to hold several transactions' worth of
 #: serve/WAL/device events without the ring costing real memory.
@@ -96,42 +109,33 @@ class FlightRecorder:
     def clear(self) -> None:
         self._ring.clear()
 
+    # -- probe-spine subscription ----------------------------------------
+    def probes(self) -> dict:
+        record = self.record
+        return {
+            "stage_close": self._stage_close,
+            "dispatch": lambda request, now: record(
+                now, "serve.dispatch", request.op, request.rid
+            ),
+            "acked": lambda request, now, tid, *_: record(
+                now, "serve.ack", request.rid, tid
+            ),
+            "logger_overload": lambda now, drain_complete: record(
+                now, "logger.overload", drain_complete, 0
+            ),
+            "fault_hit": lambda cycle, site, n: record(cycle, "fault.hit", site, n),
+            # Cycle 0: the power is out.
+            "fault_crash": lambda site, n: record(0, "fault.crash", site, n),
+        }
 
-# ----------------------------------------------------------------------
-# The installed recorder (module-global; hot paths check ``is None``)
-# ----------------------------------------------------------------------
-_ACTIVE: FlightRecorder | None = None
+    def _stage_close(self, site, start, now, tid, a=None, b=None, *_) -> None:
+        kind = _STAGE_KINDS.get(site)
+        if kind is not None:
+            self.record(now, kind, a, b)
 
-
-def active() -> FlightRecorder | None:
-    """The currently installed recorder, or None."""
-    return _ACTIVE
-
-
-def install(recorder: FlightRecorder) -> FlightRecorder:
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ConfigError("a FlightRecorder is already installed")
-    _ACTIVE = recorder
-    return recorder
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(recorder: FlightRecorder | None = None):
-    """Install ``recorder`` (default: a fresh one) for the block."""
-    rec = install(recorder if recorder is not None else FlightRecorder())
-    try:
-        yield rec
-    finally:
-        uninstall()
+    def crash_state(self) -> dict:
+        """The ring tail a CrashPoint carries."""
+        return {"flight": self.tail()}
 
 
-def tail_if_active(limit: int | None = None) -> list | None:
-    """The recorder tail for crash reports; None when disabled."""
-    fr = _ACTIVE
-    return fr.tail(limit) if fr is not None else None
+active, install, uninstall, installed = probe.registry("flight", FlightRecorder)

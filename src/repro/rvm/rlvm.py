@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import probe
 from repro.errors import LoggingError, TransactionError
 from repro.core.log_reader import RegionLogView
 from repro.faults import plan as faultplan
@@ -36,9 +37,6 @@ from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
 from repro.backends.base import LogDevice
 from repro.backends.ramdisk import RamDisk
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 from repro.rvm.rvm import DEFAULT_DISK_BYTES
 from repro.rvm.wal import WriteAheadLog
 
@@ -97,7 +95,7 @@ class RLVMTransaction:
         self.rlvm = rlvm
         self.tid = tid
         self.active = True
-        self._begin_cycle = rlvm.proc.now if obscore._ACTIVE is not None else 0
+        self._begin_cycle = rlvm.proc.now if probe._ACTIVE is not None else 0
 
     def write(self, vaddr: int, value: int, size: int = 4) -> None:
         """Store into recoverable memory — an ordinary logged write."""
@@ -243,8 +241,10 @@ class RLVM:
 
     def _commit(self, txn: RLVMTransaction, flush: bool = True) -> None:
         proc = self.proc
-        o = obscore._ACTIVE
-        commit_start = proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = proc.now
+            sp.stage_open("rlvm.commit", start, proc.cpu.index)
         faultplan.hit("rvm.commit.begin", cycle=proc.now)
         self.machine.sync(proc.cpu)  # wait for in-flight log records
         all_writes = []
@@ -277,32 +277,20 @@ class RLVM:
             self._pending.append((txn.tid, all_writes))
         self.committed_count += 1
         self._active_txn = None
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.commit", txn.tid, len(all_writes))
-        if o is not None:
-            o.metrics.inc("rvm.commits")
-            o.metrics.observe("rvm.txn_cycles", proc.now - txn._begin_cycle)
-            args = {"tid": txn.tid, "records": len(all_writes), "flush": flush}
-            ca = causal._ACTIVE
-            if ca is not None:
-                rids = ca.current_rids()
-                if rids:
-                    args["rids"] = list(rids)
-            o.span(
-                "txn",
-                "rlvm.commit",
-                commit_start,
-                proc.now,
-                proc.cpu.index,
-                args=args,
+        if sp is not None:
+            sp.stage_close(
+                "rlvm.commit", start, proc.now, proc.cpu.index, txn.tid, len(all_writes),
+                {"tid": txn.tid, "records": len(all_writes), "flush": flush},
+                txn._begin_cycle,
             )
 
     def _abort(self, txn: RLVMTransaction) -> None:
         """Undo using the log: restore exactly the words that changed."""
         proc = self.proc
-        o = obscore._ACTIVE
-        abort_start = proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = proc.now
+            sp.stage_open("rlvm.abort", start, proc.cpu.index)
         faultplan.hit("rvm.abort", cycle=proc.now)
         self.machine.sync(proc.cpu)
         for rseg in self.segments.values():
@@ -315,19 +303,10 @@ class RLVM:
             rseg.log.truncate()
         self.aborted_count += 1
         self._active_txn = None
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.abort", txn.tid, 0)
-        if o is not None:
-            o.metrics.inc("rvm.aborts")
-            o.metrics.observe("rvm.txn_cycles", proc.now - txn._begin_cycle)
-            o.span(
-                "txn",
-                "rlvm.abort",
-                abort_start,
-                proc.now,
-                proc.cpu.index,
-                args={"tid": txn.tid},
+        if sp is not None:
+            sp.stage_close(
+                "rlvm.abort", start, proc.now, proc.cpu.index, txn.tid, 0,
+                {"tid": txn.tid}, txn._begin_cycle,
             )
 
     # ------------------------------------------------------------------
@@ -342,8 +321,10 @@ class RLVM:
         """Make all no-flush commits durable in one group I/O."""
         if not self._pending:
             return
-        o = obscore._ACTIVE
-        flush_start = self.proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = self.proc.now
+            sp.stage_open("rlvm.flush", start, self.proc.cpu.index)
         pending = len(self._pending)
         faultplan.hit("rvm.flush", cycle=self.proc.now)
         self.wal.append_transactions(self.proc.cpu, self._pending)
@@ -351,24 +332,10 @@ class RLVM:
         # must push its batch now (free on the synchronous devices).
         self.disk.flush(self.proc.cpu)
         self._pending.clear()
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(self.proc.now, "rvm.flush", pending, 0)
-        if o is not None:
-            o.metrics.inc("rvm.flushes")
-            args = {"pending_commits": pending}
-            ca = causal._ACTIVE
-            if ca is not None:
-                rids = ca.current_rids()
-                if rids:
-                    args["rids"] = list(rids)
-            o.span(
-                "txn",
-                "rlvm.flush",
-                flush_start,
-                self.proc.now,
-                self.proc.cpu.index,
-                args=args,
+        if sp is not None:
+            sp.stage_close(
+                "rlvm.flush", start, self.proc.now, self.proc.cpu.index, pending, 0,
+                {"pending_commits": pending},
             )
 
     # ------------------------------------------------------------------
@@ -382,8 +349,10 @@ class RLVM:
         crash anywhere in between replays the intact log idempotently.
         """
         proc = self.proc
-        o = obscore._ACTIVE
-        truncate_start = proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = proc.now
+            sp.stage_open("rlvm.truncate", start, proc.cpu.index)
         faultplan.hit("rvm.truncate.begin", cycle=proc.now)
         # Truncation scans the *durable* log (untimed peeks below), so
         # any batch a buffering backend still holds must reach the
@@ -404,18 +373,10 @@ class RLVM:
         faultplan.hit("rvm.truncate.applied", cycle=proc.now)
         self.wal.reset(proc.cpu)
         self.disk.flush(proc.cpu)  # the head marker itself must land
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.truncate", len(entries), 0)
-        if o is not None:
-            o.metrics.inc("rvm.truncates")
-            o.span(
-                "txn",
-                "rlvm.truncate",
-                truncate_start,
-                proc.now,
-                proc.cpu.index,
-                args={"entries_applied": len(entries)},
+        if sp is not None:
+            sp.stage_close(
+                "rlvm.truncate", start, proc.now, proc.cpu.index, len(entries), 0,
+                {"entries_applied": len(entries)},
             )
 
     def maybe_truncate(self) -> bool:

@@ -34,12 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import probe
 from repro.errors import TransactionError
 from repro.core.process import Process
 from repro.faults import plan as faultplan
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
 from repro.backends.base import LogDevice
@@ -103,7 +101,7 @@ class Transaction:
         self.tid = tid
         self.active = True
         self._ranges: list[_Range] = []
-        self._begin_cycle = rvm.proc.now if obscore._ACTIVE is not None else 0
+        self._begin_cycle = rvm.proc.now if probe._ACTIVE is not None else 0
 
     # ------------------------------------------------------------------
     # The Coda API
@@ -117,8 +115,10 @@ class Transaction:
         self._check_active()
         proc = self.rvm.proc
         rseg, offset = self.rvm._locate(vaddr)
-        o = obscore._ACTIVE
-        range_start = proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = proc.now
+            sp.stage_open("rvm.set_range", start, proc.cpu.index)
         old = rseg.segment.read_bytes(offset, length)
         self._ranges.append(_Range(rseg, offset, length, old))
         blocks = -(-max(length, 1) // LINE_SIZE)
@@ -127,15 +127,10 @@ class Transaction:
             + UNDO_COPY_PER_BLOCK_CYCLES * blocks
             + REDO_RECORD_CYCLES
         )
-        if o is not None:
-            o.metrics.inc("rvm.set_ranges")
-            o.span(
-                "txn",
-                "rvm.set_range",
-                range_start,
-                proc.now,
-                proc.cpu.index,
-                args={"length": length},
+        if sp is not None:
+            sp.stage_close(
+                "rvm.set_range", start, proc.now, proc.cpu.index, None, None,
+                {"length": length},
             )
 
     def write(self, vaddr: int, value: int, size: int = 4) -> None:
@@ -193,8 +188,10 @@ class Transaction:
         """
         self._check_active()
         proc = self.rvm.proc
-        o = obscore._ACTIVE
-        commit_start = proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = proc.now
+            sp.stage_open("rvm.commit", start, proc.cpu.index)
         faultplan.hit("rvm.commit.begin", cycle=proc.now)
         writes = []
         for rng in self._ranges:
@@ -223,33 +220,21 @@ class Transaction:
         self.active = False
         self.rvm.committed_count += 1
         self.rvm._txn_finished(self)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.commit", self.tid, len(writes))
-        if o is not None:
-            o.metrics.inc("rvm.commits")
-            o.metrics.observe("rvm.txn_cycles", proc.now - self._begin_cycle)
-            args = {"tid": self.tid, "ranges": len(writes), "flush": flush}
-            ca = causal._ACTIVE
-            if ca is not None:
-                rids = ca.current_rids()
-                if rids:
-                    args["rids"] = list(rids)
-            o.span(
-                "txn",
-                "rvm.commit",
-                commit_start,
-                proc.now,
-                proc.cpu.index,
-                args=args,
+        if sp is not None:
+            sp.stage_close(
+                "rvm.commit", start, proc.now, proc.cpu.index, self.tid, len(writes),
+                {"tid": self.tid, "ranges": len(writes), "flush": flush},
+                self._begin_cycle,
             )
 
     def abort(self) -> None:
         """Restore every declared range to its pre-transaction contents."""
         self._check_active()
         proc = self.rvm.proc
-        o = obscore._ACTIVE
-        abort_start = proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = proc.now
+            sp.stage_open("rvm.abort", start, proc.cpu.index)
         faultplan.hit("rvm.abort", cycle=proc.now)
         for rng in reversed(self._ranges):
             rng.rseg.segment.write_bytes(rng.offset, rng.old_data)
@@ -258,24 +243,13 @@ class Transaction:
         self.active = False
         self.rvm.aborted_count += 1
         self.rvm._txn_finished(self)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.abort", self.tid, 0)
-        if o is not None:
-            o.metrics.inc("rvm.aborts")
-            o.metrics.observe("rvm.txn_cycles", proc.now - self._begin_cycle)
-            o.span(
-                "txn",
-                "rvm.abort",
-                abort_start,
-                proc.now,
-                proc.cpu.index,
-                args={"tid": self.tid, "ranges": len(self._ranges)},
+        if sp is not None:
+            sp.stage_close(
+                "rvm.abort", start, proc.now, proc.cpu.index, self.tid, 0,
+                {"tid": self.tid, "ranges": len(self._ranges)},
+                self._begin_cycle,
             )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     def _check_active(self) -> None:
         if not self.active:
             raise TransactionError("transaction is no longer active")
@@ -393,8 +367,10 @@ class RVM:
         """Make all no-flush commits durable in one group I/O."""
         if not self._pending:
             return
-        o = obscore._ACTIVE
-        flush_start = self.proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = self.proc.now
+            sp.stage_open("rvm.flush", start, self.proc.cpu.index)
         pending = len(self._pending)
         faultplan.hit("rvm.flush", cycle=self.proc.now)
         self.wal.append_transactions(self.proc.cpu, self._pending)
@@ -402,24 +378,10 @@ class RVM:
         # must push its batch now (free on the synchronous devices).
         self.disk.flush(self.proc.cpu)
         self._pending.clear()
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(self.proc.now, "rvm.flush", pending, 0)
-        if o is not None:
-            o.metrics.inc("rvm.flushes")
-            args = {"pending_commits": pending}
-            ca = causal._ACTIVE
-            if ca is not None:
-                rids = ca.current_rids()
-                if rids:
-                    args["rids"] = list(rids)
-            o.span(
-                "txn",
-                "rvm.flush",
-                flush_start,
-                self.proc.now,
-                self.proc.cpu.index,
-                args=args,
+        if sp is not None:
+            sp.stage_close(
+                "rvm.flush", start, self.proc.now, self.proc.cpu.index, pending, 0,
+                {"pending_commits": pending},
             )
 
     # ------------------------------------------------------------------
@@ -439,8 +401,10 @@ class RVM:
         transaction.
         """
         proc = self.proc
-        o = obscore._ACTIVE
-        truncate_start = proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = proc.now
+            sp.stage_open("rvm.truncate", start, proc.cpu.index)
         faultplan.hit("rvm.truncate.begin", cycle=proc.now)
         # Truncation scans the *durable* log (untimed peeks below), so
         # any batch a buffering backend still holds must reach the
@@ -463,18 +427,10 @@ class RVM:
         # Persist the new log head (one I/O), then reclaim the space.
         self.wal.reset(proc.cpu)
         self.disk.flush(proc.cpu)  # the head marker itself must land
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.truncate", len(entries), 0)
-        if o is not None:
-            o.metrics.inc("rvm.truncates")
-            o.span(
-                "txn",
-                "rvm.truncate",
-                truncate_start,
-                proc.now,
-                proc.cpu.index,
-                args={"entries_applied": len(entries)},
+        if sp is not None:
+            sp.stage_close(
+                "rvm.truncate", start, proc.now, proc.cpu.index, len(entries), 0,
+                {"entries_applied": len(entries)},
             )
 
     def maybe_truncate(self) -> bool:

@@ -40,13 +40,11 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro import probe
 from repro.backends.base import LogDevice
 from repro.errors import RecoveryError
 from repro.faults import plan as faultplan
 from repro.hw.cpu import CPU
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 
 _HEADER = struct.Struct("<IBI")
 _TID = struct.Struct("<I")
@@ -106,33 +104,17 @@ class WriteAheadLog:
                 cycle=cpu.now,
                 partial=lambda: self.disk.poke(base, frame[: _HEADER.size]),
             )
-        o = obscore._ACTIVE
-        start_cycle = cpu.now if o is not None else 0
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.flow_step(cpu.now, cpu.index)
-            ca.stage_enter("wal_append", cpu.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("wal.append", start, cpu.index)
         self.disk.write(cpu, self.base + self.tail, frame + _TERMINATOR)
         self.tail += len(frame)
         self.appends += 1
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "wal.append", kind.name, len(frame))
-        if o is not None:
-            # Emitted only after the write lands, so a CrashPoint raised
-            # inside the fault hook never leaves a dangling span.
-            o.metrics.inc("rvm.wal.appends")
-            o.metrics.inc("rvm.wal.bytes", len(frame))
-            o.span(
-                "wal",
-                "wal.append",
-                start_cycle,
-                cpu.now,
-                cpu.index,
-                args={"kind": kind.name, "bytes": len(frame)},
-            )
+        if sp is not None:
+            # Closed only after the write lands, so a CrashPoint raised
+            # inside the device's fault hook never emits a span.
+            sp.stage_close("wal.append", start, cpu.now, cpu.index, kind.name, len(frame))
 
     def append_begin(self, cpu: CPU, tid: int) -> None:
         self._append(cpu, EntryKind.BEGIN, _TID.pack(tid))
@@ -172,9 +154,9 @@ class WriteAheadLog:
             raise RecoveryError("write-ahead log is full; truncate first")
         self._group_write(cpu, frames, first_len)
         self.appends += 1
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.observe("rvm.wal.group_entries", len(writes))
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.observe("rvm.wal.group_entries", len(writes))
 
     def append_transactions(
         self, cpu: CPU, txns: list[tuple[int, list[tuple[int, int, bytes]]]]
@@ -208,9 +190,9 @@ class WriteAheadLog:
             raise RecoveryError("write-ahead log is full; truncate first")
         self._group_write(cpu, frames, first_txn_len)
         self.appends += 1
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.observe(
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.observe(
                 "rvm.wal.group_entries",
                 sum(len(writes) + 1 for _tid, writes in txns),
             )
@@ -225,30 +207,15 @@ class WriteAheadLog:
                 cycle=cpu.now,
                 partial=lambda: self.disk.poke(base, frames[:first_len]),
             )
-        o = obscore._ACTIVE
-        start_cycle = cpu.now if o is not None else 0
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.flow_step(cpu.now, cpu.index)
-            ca.stage_enter("wal_append", cpu.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            start = cpu.now
+            sp.stage_open("wal.append_group", start, cpu.index)
         self.disk.write(cpu, self.base + self.tail, frames + _TERMINATOR)
         self.tail += len(frames)
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "wal.append_group", len(frames), first_len)
-        if o is not None:
-            o.metrics.inc("rvm.wal.appends")
-            o.metrics.inc("rvm.wal.bytes", len(frames))
-            o.metrics.observe("rvm.wal.group_bytes", len(frames))
-            o.span(
-                "wal",
-                "wal.append_group",
-                start_cycle,
-                cpu.now,
-                cpu.index,
-                args={"bytes": len(frames)},
+        if sp is not None:
+            sp.stage_close(
+                "wal.append_group", start, cpu.now, cpu.index, len(frames), first_len
             )
 
     def reset(self, cpu: CPU | None = None) -> None:

@@ -7,7 +7,7 @@ invariants that should be machine-checked, not re-discovered per PR:
   AST-based lint framework (``python -m repro lint``) whose rule
   plugins enforce repo-specific invariants: no wall-clock or unseeded
   randomness in cycle-domain modules, integer-only cycle arithmetic,
-  the one-``_ACTIVE``-check instrumentation-gate pattern, fault-site
+  the single-check pattern on the two instrumentation gates, fault-site
   literals resolving against the generated registry
   (:mod:`repro.faults.sites`), and a reachable generic fallback for
   every fused fast path.  Per-rule suppression:
@@ -15,13 +15,13 @@ invariants that should be machine-checked, not re-discovered per PR:
 * :mod:`repro.sanitize.race` — a TSan-style vector-clock
   happens-before detector for unsynchronized same-page logged writes
   from different CPUs (``python -m repro race <workload>``), which
-  would make bus/log-record order nondeterministic.  Hot-path hooks
-  follow the exact :mod:`repro.faults.plan` gate pattern, so the
-  disabled cost is one ``is None`` check.
+  would make bus/log-record order nondeterministic.  It subscribes to
+  the :mod:`repro.probe` spine, so the disabled cost is the spine's
+  one ``is None`` check.
 
-This ``__init__`` is deliberately lazy: hardware hot paths import
-:mod:`repro.sanitize.race` directly, and nothing here may drag the
-simulator (or the linter) into their import graph.
+This ``__init__`` is deliberately lazy: nothing here may drag the
+simulator (or the linter) into the import graph of whoever imports
+one submodule.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ checking:
   {cycles, wall, bytes, count, unknown} propagated through
   assignments, calls, and returns, so cycle integers can never mix
   with wall-clock or byte quantities interprocedurally;
-* :mod:`repro.sanitize.deep.spans` — **LVM103**: every obs span enter
-  is matched by an exit on all paths that complete normally, and
-  ``_ACTIVE`` instrumentation gates never control core behaviour;
+* :mod:`repro.sanitize.deep.spans` — **LVM103**: every probe-spine
+  ``stage_open`` is matched by a ``stage_close`` on all paths that
+  complete normally, and instrumentation gates never control core
+  behaviour;
 * :mod:`repro.sanitize.deep.reach` — **LVM104**: every registered
   fault site is statically reachable from a public entry point;
 * :mod:`repro.sanitize.deep.baseline` / ``report`` — the committed

@@ -1,41 +1,34 @@
-"""LVM103 — span/gate balance on every path, including exceptions.
+"""LVM103 — stage balance on every path, plus gate purity.
 
-Two checks close the bug class PR 9 exposed (a mid-dispatch open
-span):
+Two checks close the bug class of a mid-dispatch open span:
 
-**(a) Stage-span balance.**  Counting ``stage_enter``/``device_enter``
-as +1 and ``stage_exit`` as −1, every path that completes *normally*
-must end with delta 0.  Paths that leave by exception are exempt —
-a CrashPoint abandoning an open span is intentional (the span is the
-postmortem's record of what the server was doing), and ``_ACTIVE``
-gates make the events conditional, so the analysis enumerates the
-2^G combinations of a function's gate locals (``ca = causal._ACTIVE``
-and friends) and prunes ``if ca is not None:`` branches per
-combination — otherwise two separately-gated enter/exit blocks would
-fabricate impossible unbalanced paths.  Transient negative deltas are
-allowed (``_serve_op`` legally exits the dispatch stage before
-re-entering ``queue_wait`` when parking a begin).
+**(a) Stage balance.**  Stages are bracketed by the probe spine
+(:mod:`repro.probe`): counting ``stage_open`` as +1 and
+``stage_close`` as −1, every path that completes *normally* must end
+with delta 0.  Paths that leave by exception are exempt — a
+CrashPoint abandoning an open stage is intentional (it is the
+postmortem's record of what the machine was doing).  Both calls sit
+behind the one spine gate local (``sp = probe._ACTIVE``), so the
+analysis prunes every ``if sp is None:`` branch and walks the CFG once
+with the gate active: a run without subscribers emits no stage events
+at all, so it cannot unbalance one.
 
-Only the *stage* protocol is counted.  ``span_begin``/``span_end`` are
-the tracer's internal API with its own gating discipline, and the
-:mod:`repro.obs` package itself is excluded — it *implements* the
-protocol; the rule checks its clients.
+**(b) Gate purity.**  A traced run is cycle- and log-identical to a
+bare one only if gates never change behaviour: inside an
+``if <gate> is not None:`` body (the spine gate or the fault plan's),
+control-flow statements (``return``, ``raise``, ``break``,
+``continue``) and attribute stores are forbidden — instrumentation may
+call and bind locals, nothing more.  This is also what makes the gated
+*fallback* path equivalent: if the gate body is pure, the
+``_ACTIVE is None`` fast path is reachable and behaviourally identical.
 
-**(b) Gate purity.**  The observability contract since PR 3 is that a
-traced run is cycle- and log-identical to a bare one, which is only
-true if ``_ACTIVE`` gates never change behaviour: inside an
-``if <gate> is not None:`` body, control-flow statements (``return``,
-``raise``, ``break``, ``continue``) and attribute stores are
-forbidden — instrumentation may call and bind locals, nothing more.
-This is also what makes the gated *fallback* path equivalent: if the
-gate body is pure, the ``_ACTIVE is None`` fast path is reachable and
-behaviourally identical.
+The :mod:`repro.obs` package is excluded from both: it implements the
+subscribers rather than consuming the gate.
 """
 
 from __future__ import annotations
 
 import ast
-from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.sanitize.engine import Finding
@@ -44,19 +37,15 @@ from repro.sanitize.deep.project import FunctionInfo, Project
 
 RULE_ID = "LVM103"
 
-ENTER_CALLS = frozenset({"stage_enter", "device_enter"})
-EXIT_CALLS = frozenset({"stage_exit"})
-
-#: Beyond this many gates, combinations are sampled (all-None and
-#: all-active), not enumerated.
-MAX_GATES = 5
+ENTER_CALLS = frozenset({"stage_open"})
+EXIT_CALLS = frozenset({"stage_close"})
 
 #: Delta tracking range; a loop pushing the delta past this is
 #: reported as unbounded growth.
 MAX_DELTA = 8
 
-#: Packages excluded from the balance check (they implement the span
-#: protocol rather than consume it).
+#: Packages excluded from both checks (they implement the subscribers
+#: rather than consume the gate).
 EXCLUDED_PREFIXES = ("repro/obs/",)
 
 
@@ -75,32 +64,22 @@ def gate_locals(func_node: ast.AST) -> Set[str]:
     return gates
 
 
-def _gate_test(test: ast.expr, gates: Set[str]) -> Optional[Tuple[str, bool]]:
-    """Recognise ``g is None`` / ``g is not None`` / ``g`` / ``not g``.
-
-    Returns (gate, value-of-test-when-gate-active) or None.
-    """
-    if isinstance(test, ast.Compare) and len(test.ops) == 1:
-        left, op, right = test.left, test.ops[0], test.comparators[0]
-        if (
-            isinstance(left, ast.Name)
-            and left.id in gates
-            and isinstance(right, ast.Constant)
-            and right.value is None
-        ):
-            if isinstance(op, ast.Is):
-                return left.id, False  # "g is None" is False when active
-            if isinstance(op, ast.IsNot):
-                return left.id, True
-    if isinstance(test, ast.Name) and test.id in gates:
-        return test.id, True
+def _gate_test(test: ast.expr, gates: Set[str]) -> Optional[bool]:
+    """The value of ``g is not None`` / ``g is None`` with gate ``g``
+    active, or None when ``test`` is not such a test (LVM004 rules out
+    every other form of gate test)."""
     if (
-        isinstance(test, ast.UnaryOp)
-        and isinstance(test.op, ast.Not)
-        and isinstance(test.operand, ast.Name)
-        and test.operand.id in gates
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.left, ast.Name)
+        and test.left.id in gates
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
     ):
-        return test.operand.id, False
+        if isinstance(test.ops[0], ast.IsNot):
+            return True
+        if isinstance(test.ops[0], ast.Is):
+            return False
     return None
 
 
@@ -126,9 +105,9 @@ class SpanAnalysis:
     def run(self) -> None:
         for qualname in sorted(self.project.functions):
             info = self.project.functions[qualname]
-            self._check_gate_purity(info)
             if info.module_path.startswith(EXCLUDED_PREFIXES):
                 continue
+            self._check_gate_purity(info)
             self._check_balance(info)
 
     # ------------------------------------------------------------------
@@ -142,32 +121,11 @@ class SpanAnalysis:
         )
         if not has_events:
             return
-        cfg = build_cfg(info.node)
-        gates = sorted(gate_locals(info.node))
-        if len(gates) > MAX_GATES:
-            combos = [
-                dict.fromkeys(gates, False),
-                dict.fromkeys(gates, True),
-            ]
-        else:
-            combos = [
-                dict(zip(gates, values))
-                for values in product((False, True), repeat=len(gates))
-            ]
-        clean = True
-        for combo in combos:
-            clean &= self._check_combo(info, cfg, set(gates), combo)
-        if clean:
+        if self._balanced(info, build_cfg(info.node), gate_locals(info.node)):
             self.facts.append(f"lvm103 span-balanced {info.qualname}")
 
-    def _check_combo(
-        self,
-        info: FunctionInfo,
-        cfg: CFG,
-        gates: Set[str],
-        combo: Dict[str, bool],
-    ) -> bool:
-        """Delta fixpoint under one gate valuation; True when balanced."""
+    def _balanced(self, info: FunctionInfo, cfg: CFG, gates: Set[str]) -> bool:
+        """Delta fixpoint with every gate local active; True when balanced."""
         states: Dict[int, FrozenSet[int]] = {nid: frozenset() for nid in cfg.nodes}
         states[cfg.entry.nid] = frozenset({0})
         worklist = [cfg.entry.nid]
@@ -189,9 +147,7 @@ class SpanAnalysis:
             out_deltas = frozenset(out)
             branch: Optional[bool] = None
             if isinstance(node.stmt, (ast.If, ast.While)):
-                gate = _gate_test(node.stmt.test, gates)
-                if gate is not None:
-                    branch = combo[gate[0]]
+                branch = _gate_test(node.stmt.test, gates)
             for succ_id, kind in node.succs:
                 if branch is True and kind == FALSE:
                     continue
@@ -212,10 +168,7 @@ class SpanAnalysis:
         bad = sorted(d for d in exit_deltas if d != 0)
         if overflow:
             self._report(
-                info,
-                info.node,
-                "stage span delta grows without bound in a loop "
-                f"(gate valuation {self._combo_repr(combo)})",
+                info, info.node, "stage span delta grows without bound in a loop"
             )
             return False
         if bad:
@@ -223,50 +176,30 @@ class SpanAnalysis:
                 info,
                 info.node,
                 f"a normally-completing path ends with stage span delta "
-                f"{bad} (every stage_enter/device_enter needs a stage_exit "
-                f"on all non-exception paths; gate valuation "
-                f"{self._combo_repr(combo)})",
+                f"{bad} (every stage_open needs a stage_close on all "
+                f"non-exception paths)",
             )
             return False
         return True
-
-    @staticmethod
-    def _combo_repr(combo: Dict[str, bool]) -> str:
-        if not combo:
-            return "{}"
-        return (
-            "{"
-            + ", ".join(
-                f"{g}={'active' if v else 'None'}" for g, v in sorted(combo.items())
-            )
-            + "}"
-        )
 
     # ------------------------------------------------------------------
     # (b) gate purity
     # ------------------------------------------------------------------
     def _check_gate_purity(self, info: FunctionInfo) -> None:
-        if info.module_path.startswith("repro/obs/"):
-            return  # the tracker may legally keep gated private state
         gates = gate_locals(info.node)
         for node in ast.walk(info.node):
-            test: Optional[ast.expr] = None
-            body: List[ast.stmt] = []
-            if isinstance(node, ast.If):
-                test, body = node.test, node.body
-            elif isinstance(node, ast.While):
-                test, body = node.test, node.body
-            if test is None:
+            if not isinstance(node, (ast.If, ast.While)):
                 continue
-            gate = _gate_test(test, gates)
+            test, body = node.test, node.body
+            taken = _gate_test(test, gates)
             direct = (
                 isinstance(test, ast.Compare)
                 and isinstance(test.left, ast.Attribute)
                 and test.left.attr == "_ACTIVE"
             )
-            if gate is None and not direct:
+            if taken is None and not direct:
                 continue
-            if gate is not None and not gate[1]:
+            if taken is False:
                 continue  # "is None" guards the *fallback*, not the gate
             if len(body) == 1 and isinstance(body[0], ast.Return):
                 # The fused-fallback idiom: refuse this path entirely

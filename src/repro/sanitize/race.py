@@ -22,19 +22,20 @@ per byte):
   send/receive is a release/acquire pair, and a global quiesce (or
   ``suspend_all_until``) joins every clock.
 
-Installation follows the :mod:`repro.faults.plan` gate pattern exactly:
-hot paths read the module global ``_ACTIVE`` once and pay a single
-``is None`` check when the sanitizer is off, so a disabled run is
-cycle- and log-record-identical to an unhooked build (guarded by
-``tests/sanitize/test_race.py``).
+The detector is a :mod:`repro.probe` subscriber (kind ``race``): the
+bus, the bulk engine, the machine and the Time Warp kernel emit
+``bus_write``/``logged_run``/``global_sync``/``msg_send``/``msg_recv``
+behind the spine's one gate, so a run without it pays a single
+``is None`` check per site and stays cycle- and log-record-identical
+(guarded by ``tests/test_probe_exactness.py``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro import probe
 from repro.sanitize.vclock import VectorClock
 
 
@@ -102,7 +103,20 @@ class LogRaceDetector:
         return clock
 
     # ------------------------------------------------------------------
-    # event hooks (called from hw/core when a detector is installed)
+    # event hooks (spine events from hw/core/timewarp)
+
+    def probes(self) -> dict:
+        return {
+            "bus_write": self._bus_write,
+            "logged_run": self.logged_run,
+            "global_sync": self.global_sync,
+            "msg_send": self.msg_send,
+            "msg_recv": self.msg_recv,
+        }
+
+    def _bus_write(self, complete: int, write) -> None:
+        if write.log_tag is not None:
+            self.logged_run(write.cpu_index, write.paddr, write.size, complete)
 
     def logged_run(self, cpu: int, paddr: int, nbytes: int, cycle: int) -> None:
         """A CPU wrote ``nbytes`` starting at ``paddr`` on a logged page."""
@@ -169,34 +183,6 @@ class LogRaceDetector:
         return "\n".join(lines)
 
 
-#: The installed detector, or None.  Hot paths read this exactly once
-#: per event and skip all work when it is None (same gate pattern as
-#: repro.faults.plan._ACTIVE / repro.obs.core._ACTIVE).
-_ACTIVE: Optional[LogRaceDetector] = None
-
-
-def active() -> Optional[LogRaceDetector]:
-    return _ACTIVE
-
-
-def install(detector: LogRaceDetector) -> LogRaceDetector:
-    """Install ``detector`` as the process-wide race sanitizer."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("a LogRaceDetector is already installed")
-    _ACTIVE = detector
-    return detector
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(detector: LogRaceDetector) -> Iterator[LogRaceDetector]:
-    install(detector)
-    try:
-        yield detector
-    finally:
-        uninstall()
+active, install, uninstall, installed = probe.registry(
+    "race", LogRaceDetector, error=RuntimeError
+)

@@ -6,11 +6,12 @@ Each rule states one invariant the simulator's claims depend on:
 LVM001    no wall-clock reads in cycle-domain modules
 LVM002    no unseeded randomness in cycle-domain modules
 LVM003    cycle bindings stay integers (no float contamination)
-LVM004    ``_ACTIVE`` instrumentation gates are a single ``is``/``is
-          not None`` check
+LVM004    the two instrumentation gates (the probe spine's and the
+          fault plan's ``_ACTIVE``) are a single ``is``/``is not
+          None`` check
 LVM005    fault-site strings resolve against ``repro.faults.sites``
-LVM006    every fused ``*_fast`` path has a reachable generic-fallback
-          guard
+LVM006    every fused ``*_fast`` path falls back on the one condition:
+          fault plan installed or spine ``detail`` set
 ========  ==========================================================
 
 ``LVM000`` is reserved for parse errors (emitted by the engine).
@@ -258,21 +259,32 @@ def _is_none(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant) and node.value is None
 
 
-def _active_ref(node: ast.AST) -> Optional[str]:
-    """Unparsed source of ``_ACTIVE`` / ``mod._ACTIVE`` refs, else None."""
+#: The only two instrumentation gates.
+SPINE_GATE = "repro.probe._ACTIVE"
+FAULT_GATE = "repro.faults.plan._ACTIVE"
+
+
+def _gate_ref(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
+    """Unparsed source of a gate ref (``probe._ACTIVE``,
+    ``faultplan._ACTIVE``, or a bare ``_ACTIVE`` in a defining module),
+    else None."""
     if isinstance(node, ast.Name) and node.id == "_ACTIVE":
         return "_ACTIVE"
-    if isinstance(node, ast.Attribute) and node.attr == "_ACTIVE":
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr == "_ACTIVE"
+        and _resolve(node, aliases) in (SPINE_GATE, FAULT_GATE)
+    ):
         return ast.unparse(node)
     return None
 
 
 class GatePatternRule(Rule):
     rule_id = "LVM004"
-    title = "_ACTIVE gates are a single `is None` check"
+    title = "the spine and fault-plan gates are a single `is None` check"
     rationale = (
-        "Instrumentation globals (faults.plan._ACTIVE, obs.core._ACTIVE, "
-        "sanitize.race._ACTIVE) gate hot paths with exactly one "
+        "The two instrumentation gates (repro.probe._ACTIVE and "
+        "faults.plan._ACTIVE) guard hot paths with exactly one "
         "`is None` identity check.  Truthiness tests or == None change "
         "semantics for falsy objects, and member access outside an "
         "`is not None` guard defeats the single-check discipline."
@@ -280,8 +292,9 @@ class GatePatternRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         parents = _parent_map(ctx.tree)
+        aliases = _collect_aliases(ctx.tree)
         for node in ast.walk(ctx.tree):
-            ref = _active_ref(node)
+            ref = _gate_ref(node, aliases)
             if ref is None:
                 continue
             parent = parents.get(node)
@@ -440,16 +453,17 @@ class FaultSiteRule(Rule):
 FUSED_EXTRA = frozenset({"_write_run_bus_logged"})
 
 
-def _has_fallback_guard(func: ast.AST) -> bool:
+def _has_fallback_guard(func: ast.AST, aliases: Dict[str, str]) -> bool:
+    """An ``if`` testing both halves of the one fallback condition:
+    ``faultplan._ACTIVE is not None or (sp is not None and sp.detail)``."""
     for sub in ast.walk(func):
-        if isinstance(sub, ast.Attribute) and sub.attr == "_ACTIVE":
+        if not isinstance(sub, ast.If):
+            continue
+        attrs = [n for n in ast.walk(sub.test) if isinstance(n, ast.Attribute)]
+        if any(_resolve(n, aliases) == FAULT_GATE for n in attrs) and any(
+            n.attr == "detail" for n in attrs
+        ):
             return True
-        if isinstance(sub, ast.Name) and sub.id == "_ACTIVE":
-            return True
-        if isinstance(sub, ast.Call):
-            name = _call_name(sub.func)
-            if name == "trace_detail_active":
-                return True
     return False
 
 
@@ -464,15 +478,16 @@ class FastPathFallbackRule(Rule):
     rule_id = "LVM006"
     title = "fused fast paths keep a reachable generic fallback"
     rationale = (
-        "Fused fast paths (*_fast and friends) skip per-event "
+        "Fused fast paths (*_fast and friends) skip per-record "
         "instrumentation, so either the function or every one of its "
-        "same-module callers must guard on the instrumentation gates "
-        "(_ACTIVE / trace_detail_active) and fall back to the generic "
-        "path — otherwise fault plans and detailed tracing silently "
-        "miss events."
+        "same-module callers must test the one fallback condition "
+        "(faultplan._ACTIVE is not None, or the probe spine's detail "
+        "flag) and fall back to the generic path — otherwise fault "
+        "plans and detailed tracing silently miss events."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        aliases = _collect_aliases(ctx.tree)
         defs = [
             node
             for node in ast.walk(ctx.tree)
@@ -481,20 +496,20 @@ class FastPathFallbackRule(Rule):
         for func in defs:
             if not (func.name.endswith("_fast") or func.name in FUSED_EXTRA):
                 continue
-            if _has_fallback_guard(func):
+            if _has_fallback_guard(func, aliases):
                 continue
             callers = [
                 other
                 for other in defs
                 if other is not func and _calls_function(other, func.name)
             ]
-            if callers and all(_has_fallback_guard(c) for c in callers):
+            if callers and all(_has_fallback_guard(c, aliases) for c in callers):
                 continue
             yield self.finding(
                 ctx,
                 func,
-                f"fused fast path {func.name}() has no reachable "
-                "generic-fallback guard (_ACTIVE / trace_detail_active) "
+                f"fused fast path {func.name}() has no generic-fallback "
+                "guard on faultplan._ACTIVE and the spine's detail flag "
                 "here or in its callers",
             )
 

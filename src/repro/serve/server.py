@@ -27,12 +27,10 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro import probe
 from repro.analytics.core import PageTouchAttribution
 from repro.errors import LVMError
 from repro.faults.plan import CrashPoint
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 from repro.rvm.rvm import RVM
 from repro.serve.channel import Channel, Request
 
@@ -107,10 +105,10 @@ class TxnServer:
         """
         rid = self._next_rid
         self._next_rid += 1
-        ca = causal._ACTIVE
         ctx = None
-        if ca is not None:
-            ctx = ca.open_request(rid, client, op, self._proc.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            ctx = sp.open_request(rid, client, op, self._proc.now)
         return await self.channel.call(op, client, *payload, rid=rid, ctx=ctx)
 
     # ------------------------------------------------------------------
@@ -146,25 +144,20 @@ class TxnServer:
 
     def _dispatch(self, request: Request) -> bool:
         """Serve one request; False ends the loop (shutdown)."""
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.dispatch(request.ctx, self._proc.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(self._proc.now, "serve.dispatch", request.op, request.rid)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.dispatch(request, self._proc.now)
         try:
             result = self._serve_op(request)
         except BaseException:
             # Crash mid-dispatch: detach the tracker but leave the
             # dispatch span open — it is the postmortem's record of
             # what the server was doing when it died.
-            ca = causal._ACTIVE
-            if ca is not None:
-                ca.dispatch_abandoned()
+            if sp is not None:
+                sp.dispatch_abandoned()
             raise
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.dispatch_done(self._proc.now)
+        if sp is not None:
+            sp.dispatch_done(self._proc.now)
         return result
 
     def _serve_op(self, request: Request) -> bool:
@@ -197,10 +190,10 @@ class TxnServer:
         elif op == "shutdown":
             if self._batch:
                 self._flush_batch()
-            o = obscore._ACTIVE
-            if o is not None:
+            sp = probe._ACTIVE
+            if sp is not None:
                 for client, wss in self.client_wss().items():
-                    o.metrics.set_gauge(f"serve.client_wss.{client}", wss)
+                    sp.set_gauge(f"serve.client_wss.{client}", wss)
             self._resolve(request, None)
             return False
         else:
@@ -212,9 +205,9 @@ class TxnServer:
     # ------------------------------------------------------------------
     def _resolve(self, request: Request, value) -> None:
         """Resolve a non-commit request, closing its trace context."""
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.finish(request.ctx, self._proc.now)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.finish(request.ctx, self._proc.now)
         request.future.set_result(value)
 
     def _grant(self, request: Request) -> None:
@@ -237,18 +230,18 @@ class TxnServer:
             txn.commit(flush=True)
             self._finish_txn()
             self._ack(txn.tid, request, start_cycle)
-            ca = causal._ACTIVE
-            if ca is not None:
+            sp = probe._ACTIVE
+            if sp is not None:
                 # The request is acked: truncation work below belongs to
                 # the server, not to the finished context.
-                ca.dispatch_done()
+                sp.dispatch_done()
             self._maybe_truncate()
         else:
             txn.commit(flush=False)
             self._finish_txn()
-            ca = causal._ACTIVE
-            if ca is not None:
-                ca.park(request.ctx, self._proc.now)
+            sp = probe._ACTIVE
+            if sp is not None:
+                sp.park(request.ctx, self._proc.now)
             self._batch.append((txn.tid, request, start_cycle))
             if len(self._batch) >= self.group_size:
                 self._flush_batch()
@@ -261,16 +254,16 @@ class TxnServer:
         :meth:`_fail_outstanding` — those commits were never
         acknowledged, so their clients must see the failure.
         """
-        ca = causal._ACTIVE
-        if ca is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             contexts = [request.ctx for _tid, request, _start in self._batch]
-            ca.adopt_batch(contexts, self._proc.now)
+            sp.adopt_batch(contexts, self._proc.now)
         self.lib.flush()
         batch, self._batch = self._batch, []
         for tid, request, start_cycle in batch:
             self._ack(tid, request, start_cycle)
-        if ca is not None:
-            ca.dispatch_done()
+        if sp is not None:
+            sp.dispatch_done()
         self._maybe_truncate()
 
     def client_wss(self) -> dict:
@@ -291,18 +284,9 @@ class TxnServer:
         latency = self._proc.now - start_cycle
         self.acked.append(tid)
         self.commit_latencies.append(latency)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.observe("serve.commit_cycles", latency)
-            o.metrics.observe(
-                f"serve.commit_cycles.{self._backend_name}", latency
-            )
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.finish(request.ctx, self._proc.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(self._proc.now, "serve.ack", request.rid, tid)
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.acked(request, self._proc.now, tid, latency, self._backend_name)
         request.future.set_result(latency)
 
     # ------------------------------------------------------------------
@@ -324,10 +308,10 @@ class TxnServer:
         inflight = [self._describe_request(req) for req in unserved]
         self.crash_inflight = inflight
         error = ServeCrashed(crash, inflight)
-        ca = causal._ACTIVE
-        if ca is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             for req in unserved:
-                ca.drop(req.ctx)
+                sp.drop(req.ctx)
         if request is not None and not request.future.done():
             request.future.set_exception(error)
         self._fail_outstanding(error, queued)

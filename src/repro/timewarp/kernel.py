@@ -14,12 +14,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from repro import probe
 from repro.errors import SimulationError
 from repro.core.context import boot, use_machine
 from repro.core.process import create_process
-from repro.obs import core as obscore
 from repro.hw.machine import Machine
-from repro.sanitize import race as racesan
 from repro.hw.params import MachineConfig
 from repro.timewarp.event import Event, Message
 from repro.timewarp.scheduler import Scheduler
@@ -157,23 +156,23 @@ class TimeWarpSimulation:
             return
         arrival = sender.proc.now + self.latency_cycles
         self._seq += 1
-        det = racesan._ACTIVE
-        if det is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             # A cross-scheduler message is a release: the receiver's
             # acquire in _ingest orders the sender's earlier writes
             # before everything the receiver does next.
-            det.msg_send(sender.proc.cpu.index, id(message))
+            sp.msg_send(sender.proc.cpu.index, id(message))
         heapq.heappush(self._inboxes[dest.index], (arrival, self._seq, message))
 
     def _ingest(self, scheduler: Scheduler) -> None:
         """Deliver every message that has arrived by the CPU's time."""
         inbox = self._inboxes[scheduler.index]
         now = scheduler.proc.now
-        det = racesan._ACTIVE
+        sp = probe._ACTIVE
         while inbox and inbox[0][0] <= now:
             _, _, message = heapq.heappop(inbox)
-            if det is not None:
-                det.msg_recv(scheduler.proc.cpu.index, id(message))
+            if sp is not None:
+                sp.msg_recv(scheduler.proc.cpu.index, id(message))
             scheduler.receive(message)
 
     def in_flight_min(self) -> int | None:
@@ -208,12 +207,9 @@ class TimeWarpSimulation:
             self.gvt = gvt
             for sched in self.schedulers:
                 sched.fossil_collect(gvt)
-            o = obscore._ACTIVE
-            if o is not None:
-                o.metrics.set_gauge("tw.gvt", gvt)
-                o.counter_track(
-                    "timewarp", "tw.gvt", self.machine.clock.now, gvt
-                )
+            sp = probe._ACTIVE
+            if sp is not None:
+                sp.tw_gvt(self.machine.clock.now, gvt)
 
     # ------------------------------------------------------------------
     # The executive loop

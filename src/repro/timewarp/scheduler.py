@@ -17,9 +17,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro import probe
 from repro.errors import SimulationError
 from repro.core.process import Process
-from repro.obs import core as obscore
 from repro.timewarp.event import Event, EventKey, Message
 from repro.timewarp.state_saving import StateSaver
 from repro.timewarp.workloads import SimulationModel, event_hash
@@ -186,8 +186,8 @@ class Scheduler:
         if key is None or key.recv_time > self.sim.end_time:
             return False
         _, event = heapq.heappop(self._queue)
-        o = obscore._ACTIVE
-        step_start = self.proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        step_start = self.proc.now if sp is not None else 0
         self.proc.compute(DISPATCH_CYCLES)
         if event.recv_time != self.lvt:
             self.lvt = event.recv_time
@@ -203,19 +203,9 @@ class Scheduler:
         self._current = None
         self.processed.append(record)
         self.events_processed += 1
-        if o is not None:
-            o.metrics.inc("tw.events")
-            o.span(
-                "timewarp",
-                "tw.event",
-                step_start,
-                self.proc.now,
-                self.proc.cpu.index,
-                args={
-                    "vt": event.recv_time,
-                    "obj": event.dest_obj,
-                    "sends": len(record.sends),
-                },
+        if sp is not None:
+            sp.tw_event(
+                step_start, self.proc.now, self.proc.cpu.index, event, len(record.sends)
             )
         return True
 
@@ -232,8 +222,8 @@ class Scheduler:
     def rollback(self, vt: int) -> None:
         """Undo every processed event with receive time >= ``vt``."""
         self.rollback_count += 1
-        o = obscore._ACTIVE
-        rollback_start = self.proc.now if o is not None else 0
+        sp = probe._ACTIVE
+        rollback_start = self.proc.now if sp is not None else 0
         undone: list[ProcessedEvent] = []
         while self.processed and self.processed[-1].event.recv_time >= vt:
             undone.append(self.processed.pop())
@@ -254,17 +244,10 @@ class Scheduler:
         # Restore memory state.
         self.saver.rollback(vt)
         self.lvt = self.processed[-1].event.recv_time if self.processed else 0
-        if o is not None:
-            o.metrics.inc("tw.rollbacks")
-            o.metrics.inc("tw.antimessages", antimessages)
-            o.metrics.observe("tw.rollback_depth", len(undone))
-            o.span(
-                "timewarp",
-                "tw.rollback",
-                rollback_start,
-                self.proc.now,
-                self.proc.cpu.index,
-                args={"vt": vt, "undone": len(undone), "antimessages": antimessages},
+        if sp is not None:
+            sp.tw_rollback(
+                rollback_start, self.proc.now, self.proc.cpu.index,
+                vt, len(undone), antimessages,
             )
 
     # ------------------------------------------------------------------

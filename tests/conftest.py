@@ -35,21 +35,14 @@ def _no_leaked_fault_plan():
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_observability():
-    """Same for an Observability a test installed and failed to remove."""
+def _no_leaked_subscribers():
+    """Same for any probe-spine subscriber (Observability, flight
+    recorder, causal tracker, analytics hub, race detector): a leaked
+    one would make every later install of its kind raise."""
     yield
-    from repro.obs import core as obscore
+    from repro import probe
 
-    obscore.uninstall()
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_analytics_hub():
-    """And for an AnalyticsHub left installed by a failing test."""
-    yield
-    from repro.analytics import stream as anstream
-
-    anstream.uninstall()
+    probe.detach_all()
 
 
 @pytest.fixture(autouse=True)
@@ -57,14 +50,13 @@ def _lvm_san(request):
     """Under ``--lvm-san``, run the test inside a LogRaceDetector.
 
     Tests that install their own detector (tests/sanitize) opt out by
-    uninstalling first; the teardown always clears any leaked detector,
-    mirroring the fault-plan and observability fixtures above.
+    uninstalling first; a leaked detector is cleared with every other
+    spine subscriber by the fixture above.
     """
     from repro.sanitize import race
 
     if not request.config.getoption("--lvm-san") or race.active() is not None:
         yield
-        race.uninstall()
         return
     detector = race.LogRaceDetector()
     race.install(detector)

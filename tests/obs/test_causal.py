@@ -141,26 +141,3 @@ class TestFlowLinkage:
         assert hist["serve.request_cycles"]["count"] == len(tracker.completed)
         assert "serve.stage_cycles.queue_wait" in hist
         assert "serve.stage_cycles.wal_append" in hist
-
-
-class TestInstrumentationIsFree:
-    @pytest.mark.parametrize("group", [1, 4], ids=["sync", "grouped"])
-    def test_instrumented_run_cycle_and_log_identical(self, group):
-        bare = run_serve(group=group, **_WORKLOAD)
-        tracker, instrumented = _instrumented_run(group=group)
-        assert tracker.completed  # the tracker really was live
-        assert (
-            instrumented["machine"].time() == bare["machine"].time()
-        ), "causal tracking must not advance the clock"
-        assert instrumented["server"].acked == bare["server"].acked
-        assert (
-            instrumented["server"].commit_latencies
-            == bare["server"].commit_latencies
-        )
-        bare_wal = [
-            (e.kind, e.tid) for e in bare["library"].wal.entries()
-        ]
-        inst_wal = [
-            (e.kind, e.tid) for e in instrumented["library"].wal.entries()
-        ]
-        assert inst_wal == bare_wal

@@ -9,6 +9,7 @@ LVM004 install gate, and the contract that matters: an injected
 
 import pytest
 
+from repro import probe
 from repro.errors import ConfigError
 from repro.faults import plan as faultplan
 from repro.faults.plan import CrashPoint, CrashSpec, FaultPlan
@@ -65,11 +66,14 @@ class TestGate:
         assert obsflight.active() is None
 
     def test_tail_if_active(self):
-        assert obsflight.tail_if_active() is None
+        # The crash report carries the ring tail only while a recorder
+        # is attached to the spine.
+        assert obsflight.active() is None
         with obsflight.installed() as fr:
             fr.record(7, "k", "a", "b")
-            assert obsflight.tail_if_active() == [(7, "k", "a", "b")]
-        assert obsflight.tail_if_active() is None
+            assert probe._ACTIVE.crash_state()["flight"] == [(7, "k", "a", "b")]
+        sp = probe._ACTIVE
+        assert sp is None or "flight" not in sp.crash_state()
 
 
 class TestCrashCapture:

@@ -1,7 +1,9 @@
-"""The Observability gate: install/uninstall, span routing, nesting."""
+"""Observability on the probe spine: install/uninstall, span routing,
+nesting."""
 
 import pytest
 
+from repro import probe
 from repro.errors import ConfigError
 from repro.obs import core as obscore
 from repro.obs.core import Observability, installed
@@ -11,10 +13,9 @@ from repro.obs.trace import Tracer, validate_trace
 
 class TestInstall:
     def test_disabled_by_default(self):
-        assert obscore._ACTIVE is None
         assert obscore.active() is None
-        assert not obscore.trace_detail_active()
-        assert obscore.metrics_snapshot_if_active() is None
+        sp = probe._ACTIVE
+        assert sp is None or "metrics" not in sp.crash_state()
 
     def test_install_uninstall(self):
         obs = Observability()
@@ -41,15 +42,19 @@ class TestInstall:
 
     def test_trace_detail_requires_a_tracer(self):
         with installed(Observability()):
-            assert not obscore.trace_detail_active()  # metrics-only
+            assert not probe._ACTIVE.detail  # metrics-only
         with installed(Observability(tracer=Tracer())):
-            assert obscore.trace_detail_active()
+            assert probe._ACTIVE.detail
 
     def test_metrics_snapshot_if_active(self):
+        # The crash report carries a metrics snapshot only while an
+        # Observability is attached.
         with installed(Observability()) as obs:
             obs.metrics.inc("x", 3)
-            snap = obscore.metrics_snapshot_if_active()
+            snap = probe._ACTIVE.crash_state()["metrics"]
         assert snap["counters"]["x"] == 3
+        sp = probe._ACTIVE
+        assert sp is None or "metrics" not in sp.crash_state()
 
 
 class TestSpanRouting:

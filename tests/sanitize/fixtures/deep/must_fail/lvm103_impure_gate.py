@@ -1,7 +1,9 @@
-"""Seeded violation: state mutation inside an _ACTIVE gate."""
+"""Seeded violation: state mutation inside the probe-spine gate."""
+
+from repro import probe
 
 
-def traced(tracer, obj):
-    t = tracer._ACTIVE
-    if t is not None:
+def traced(obj):
+    sp = probe._ACTIVE
+    if sp is not None:
         obj.count += 1  # traced and bare runs now diverge

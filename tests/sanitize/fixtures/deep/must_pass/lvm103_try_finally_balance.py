@@ -1,12 +1,17 @@
-"""Conforming twin: the span closes on every path via finally."""
+"""Conforming twin: the stage closes on every path via finally."""
+
+from repro import probe
 
 
-def handler(obs, req):
-    obs.stage_enter("dispatch")
+def handler(req, now):
+    sp = probe._ACTIVE
+    if sp is not None:
+        sp.stage_open("wal.append", now, 0)
     try:
         return process(req)
     finally:
-        obs.stage_exit("dispatch")
+        if sp is not None:
+            sp.stage_close("wal.append", now, now, 0)
 
 
 def process(req):

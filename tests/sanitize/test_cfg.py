@@ -158,12 +158,12 @@ class TestSpanBalanceVerdicts:
     def test_try_finally_span_is_balanced(self):
         findings, facts = _span_verdicts(
             """
-            def handler(obs, req):
-                obs.stage_enter("dispatch")
+            def handler(sp, req):
+                sp.stage_open("dispatch")
                 try:
                     return work(req)
                 finally:
-                    obs.stage_exit("dispatch")
+                    sp.stage_close("dispatch")
             """
         )
         assert findings == []
@@ -172,11 +172,11 @@ class TestSpanBalanceVerdicts:
     def test_early_return_leaks_span(self):
         findings, facts = _span_verdicts(
             """
-            def handler(obs, req):
-                obs.stage_enter("dispatch")
+            def handler(sp, req):
+                sp.stage_open("dispatch")
                 if req is None:
                     return None
-                obs.stage_exit("dispatch")
+                sp.stage_close("dispatch")
                 return req
             """
         )
@@ -189,10 +189,10 @@ class TestSpanBalanceVerdicts:
         # the *normal* path balances, so the function is clean.
         findings, facts = _span_verdicts(
             """
-            def handler(obs, req):
-                obs.stage_enter("dispatch")
+            def handler(sp, req):
+                sp.stage_open("dispatch")
                 result = work(req)
-                obs.stage_exit("dispatch")
+                sp.stage_close("dispatch")
                 return result
             """
         )
@@ -202,13 +202,13 @@ class TestSpanBalanceVerdicts:
     def test_caught_exception_resuming_normally_still_balances(self):
         findings, _ = _span_verdicts(
             """
-            def handler(obs, req):
-                obs.stage_enter("dispatch")
+            def handler(sp, req):
+                sp.stage_open("dispatch")
                 try:
                     work(req)
                 except ValueError:
                     pass
-                obs.stage_exit("dispatch")
+                sp.stage_close("dispatch")
             """
         )
         assert findings == []
@@ -216,11 +216,11 @@ class TestSpanBalanceVerdicts:
     def test_async_with_balanced(self):
         findings, facts = _span_verdicts(
             """
-            async def handler(obs, lock, req):
+            async def handler(sp, lock, req):
                 async with lock:
-                    obs.stage_enter("dispatch")
+                    sp.stage_open("dispatch")
                     result = await work(req)
-                    obs.stage_exit("dispatch")
+                    sp.stage_close("dispatch")
                 return result
             """
         )
@@ -230,31 +230,31 @@ class TestSpanBalanceVerdicts:
     def test_async_with_early_return_leaks(self):
         findings, _ = _span_verdicts(
             """
-            async def handler(obs, lock, req):
+            async def handler(sp, lock, req):
                 async with lock:
-                    obs.stage_enter("dispatch")
+                    sp.stage_open("dispatch")
                     if req.cached:
                         return req.value
                     result = await work(req)
-                    obs.stage_exit("dispatch")
+                    sp.stage_close("dispatch")
                 return result
             """
         )
         assert [f.rule_id for f in findings] == ["LVM103"]
 
     def test_correlated_gates_do_not_fabricate_paths(self):
-        # wal._append style: enter and exit separately gated on the
-        # same local.  Naive path-insensitive analysis would pair
-        # (enter taken, exit skipped); the gate enumeration must not.
+        # wal._append style: open and close separately gated on the
+        # same spine local.  Naive path-insensitive analysis would pair
+        # (open taken, close skipped); the gate pruning must not.
         findings, facts = _span_verdicts(
             """
-            def append(tracer, disk, rec):
-                t = tracer._ACTIVE
-                if t is not None:
-                    t.device_enter("disk")
+            def append(probe, disk, rec):
+                sp = probe._ACTIVE
+                if sp is not None:
+                    sp.stage_open("device.write", 0, 0)
                 disk.put(rec)
-                if t is not None:
-                    t.stage_exit("disk")
+                if sp is not None:
+                    sp.stage_close("device.write", 0, 1, 0)
             """
         )
         assert findings == []
@@ -263,9 +263,9 @@ class TestSpanBalanceVerdicts:
     def test_unbounded_loop_growth_reported(self):
         findings, _ = _span_verdicts(
             """
-            def drain(obs, q):
+            def drain(sp, q):
                 while q:
-                    obs.stage_enter("item")
+                    sp.stage_open("item")
             """
         )
         assert [f.rule_id for f in findings] == ["LVM103"]
@@ -274,8 +274,8 @@ class TestSpanBalanceVerdicts:
     def test_obs_package_is_excluded(self):
         findings, facts = _span_verdicts(
             """
-            def protocol_impl(obs):
-                obs.stage_enter("x")
+            def protocol_impl(sp):
+                sp.stage_open("x")
             """,
             module_path="repro/obs/tracer.py",
         )

@@ -57,19 +57,19 @@ class TestDurabilityFacts:
 
     def test_sync_commit_ack_verified(self):
         assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._commit:239"
+            "lvm101 ack-clean repro/serve/server.py::TxnServer._commit:232"
             in _result().facts
         )
 
     def test_group_commit_ack_verified(self):
         assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._flush_batch:271"
+            "lvm101 ack-clean repro/serve/server.py::TxnServer._flush_batch:264"
             in _result().facts
         )
 
     def test_ack_helper_verified(self):
         assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._ack:306"
+            "lvm101 ack-clean repro/serve/server.py::TxnServer._ack:290"
             in _result().facts
         )
 
@@ -86,10 +86,16 @@ class TestDurabilityFacts:
 
 class TestOtherFamilies:
     def test_span_facts_cover_the_server_dispatch(self):
-        assert (
-            "lvm103 span-balanced repro/serve/server.py::TxnServer._serve_op"
-            in _result().facts
-        )
+        # A dispatched commit's stages: WAL append, then the device
+        # write and flush it drives (sync and group-commit devices).
+        facts = _result().facts
+        for stage in (
+            "repro/rvm/wal.py::WriteAheadLog._append",
+            "repro/rvm/wal.py::WriteAheadLog._group_write",
+            "repro/backends/base.py::LogDevice.write",
+            "repro/backends/group_commit.py::GroupCommit.flush",
+        ):
+            assert f"lvm103 span-balanced {stage}" in facts
 
     def test_every_registered_site_proved_reachable(self):
         import ast

@@ -291,9 +291,9 @@ class TestLVM103Spans:
         ctx = make_context(
             textwrap.dedent(
                 """
-            def traced(tracer, obj):
-                t = tracer._ACTIVE
-                if t is not None:
+            def traced(probe, obj):
+                sp = probe._ACTIVE
+                if sp is not None:
                     obj.count += 1
             """
             ),
@@ -307,10 +307,10 @@ class TestLVM103Spans:
         ctx = make_context(
             textwrap.dedent(
                 """
-            def traced(tracer, req):
-                t = tracer._ACTIVE
-                if t is not None:
-                    t.note(req)
+            def traced(probe, req):
+                sp = probe._ACTIVE
+                if sp is not None:
+                    sp.inc("requests")
                     raise RuntimeError("tracing broke the bare path")
             """
             ),
@@ -324,11 +324,11 @@ class TestLVM103Spans:
         ctx = make_context(
             textwrap.dedent(
                 """
-            def traced(tracer, req):
-                t = tracer._ACTIVE
-                if t is not None:
+            def traced(probe, req):
+                sp = probe._ACTIVE
+                if sp is not None:
                     size = len(req)
-                    t.note(size)
+                    sp.observe("request_bytes", size)
             """
             ),
             "repro/serve/fix0.py",

@@ -245,9 +245,19 @@ class TestLVM004GatePattern:
 
     def test_unguarded_member_access_flagged(self):
         src = """\
-            from repro.obs import core as obscore
+            from repro import probe
             def emit():
-                obscore._ACTIVE.metrics.inc("x", 1)
+                probe._ACTIVE.inc("x", 1)
+            """
+        assert rule_ids(src, "repro/core/fixture.py") == ["LVM004"]
+
+    def test_spine_gate_truthiness_flagged(self):
+        src = """\
+            from repro import probe
+            def emit():
+                sp = probe._ACTIVE
+                if probe._ACTIVE:
+                    sp.inc("x", 1)
             """
         assert rule_ids(src, "repro/core/fixture.py") == ["LVM004"]
 
@@ -272,11 +282,11 @@ class TestLVM004GatePattern:
 
     def test_capture_to_local_passes(self):
         src = """\
-            from repro.obs import core as obscore
+            from repro import probe
             def emit():
-                o = obscore._ACTIVE
-                if o is not None:
-                    o.metrics.inc("x", 1)
+                sp = probe._ACTIVE
+                if sp is not None:
+                    sp.inc("x", 1)
             """
         assert rule_ids(src, "repro/core/fixture.py") == []
 
@@ -354,9 +364,11 @@ class TestLVM006FastPathFallback:
 
     def test_guard_in_function_passes(self):
         src = """\
+            from repro import probe
             from repro.faults import plan as faultplan
             def copy_fast(dst, src):
-                if faultplan._ACTIVE is not None:
+                sp = probe._ACTIVE
+                if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
                     return False
                 dst[:] = src
                 return True
@@ -365,11 +377,13 @@ class TestLVM006FastPathFallback:
 
     def test_guard_in_all_callers_passes(self):
         src = """\
+            from repro import probe
             from repro.faults import plan as faultplan
             def _drain_fast(entries):
                 entries.clear()
             def drain(entries):
-                if faultplan._ACTIVE is not None:
+                sp = probe._ACTIVE
+                if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
                     return None
                 return _drain_fast(entries)
             """
@@ -377,11 +391,13 @@ class TestLVM006FastPathFallback:
 
     def test_one_unguarded_caller_flags(self):
         src = """\
+            from repro import probe
             from repro.faults import plan as faultplan
             def _drain_fast(entries):
                 entries.clear()
             def drain(entries):
-                if faultplan._ACTIVE is not None:
+                sp = probe._ACTIVE
+                if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
                     return None
                 return _drain_fast(entries)
             def sneaky(entries):
@@ -390,15 +406,29 @@ class TestLVM006FastPathFallback:
         assert rule_ids(src) == ["LVM006"]
 
     def test_trace_detail_guard_counts(self):
+        # The detail half is required: a fault-plan-only guard would let
+        # a tracer watch the fused loop skip its per-record spans.
         src = """\
-            from repro.obs import core as obscore
+            from repro.faults import plan as faultplan
             def write_fast(dst, src):
-                if obscore.trace_detail_active():
+                if faultplan._ACTIVE is not None:
                     return False
                 dst[:] = src
                 return True
             """
-        assert rule_ids(src) == []
+        assert rule_ids(src) == ["LVM006"]
+
+    def test_detail_flag_alone_is_not_the_condition(self):
+        src = """\
+            from repro import probe
+            def write_fast(dst, src):
+                sp = probe._ACTIVE
+                if sp is not None and sp.detail:
+                    return False
+                dst[:] = src
+                return True
+            """
+        assert rule_ids(src) == ["LVM006"]
 
 
 class TestRuleInventory:
