@@ -10,6 +10,7 @@ really in the loop, not a bystander.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import ExitStack
 
 import pytest
@@ -23,9 +24,17 @@ from repro.obs.workloads import run_workload
 from repro.sanitize import race
 from repro.serve.cli import run_serve
 
-#: Bare-run golden (cycles, hardware records logged): a timing-model
-#: change must show up here.
-GOLDEN = {"copy": (830787, 16384), "timewarp": (71595, 1070)}
+#: Bare-run golden (cycles, hardware records logged), or for the serve
+#: runs (cycles, sha256 prefix of the durable device bytes): a
+#: timing-model change must show up here.
+GOLDEN = {
+    "copy": (830787, 16384),
+    "timewarp": (71595, 1070),
+    "rvm": (163378, 0),
+    "rlvm": (136500, 28),
+    "serve-sync": (702843, "0b9325c45cabb2f3"),
+    "serve-grouped": (254643, "0b9325c45cabb2f3"),
+}
 
 SERVE_WORKLOAD = dict(clients=8, txns=3, writes=2, seed=7)
 SERVE_GROUPS = {"serve-sync": 1, "serve-grouped": 4}
@@ -78,6 +87,12 @@ def _fingerprint(workload: str, result: dict) -> dict:
     return fp
 
 
+def _golden(workload: str, fp: dict) -> tuple:
+    if workload in SERVE_GROUPS:
+        return fp["cycles"], hashlib.sha256(fp["device_bytes"]).hexdigest()[:16]
+    return fp["cycles"], fp["hw_records"]
+
+
 def _assert_live(kind: str, sub, workload: str, result: dict) -> None:
     log = result.get("log")
     if kind == "analytics" and log is not None:
@@ -115,8 +130,7 @@ def _bare(workload: str) -> dict:
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_instrumented_run_equals_bare(workload, config):
     bare = _bare(workload)
-    if workload in GOLDEN:
-        assert (bare["cycles"], bare["hw_records"]) == GOLDEN[workload]
+    assert _golden(workload, bare) == GOLDEN[workload]
     with ExitStack() as stack:
         subs = {}
         for kind in config:
