@@ -17,6 +17,7 @@ chosen log backend (see :mod:`repro.serve.cli`), and
 (see :mod:`repro.obs.postmortem`).
 """
 
+import importlib
 import sys
 
 from repro import (
@@ -60,36 +61,23 @@ def demo() -> int:
     return 0
 
 
+#: subcommand -> (module, entry point), imported only when chosen
+COMMANDS = {
+    "trace": ("repro.obs.cli", "main"),
+    "lint": ("repro.sanitize.cli", "lint_main"),
+    "race": ("repro.sanitize.cli", "race_main"),
+    "replay": ("repro.replay.cli", "main"),
+    "serve": ("repro.serve.cli", "main"),
+    "analyze": ("repro.analytics.cli", "main"),
+    "obs": ("repro.obs.cli", "obs_main"),
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "trace":
-        from repro.obs.cli import main as trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "lint":
-        from repro.sanitize.cli import lint_main
-
-        return lint_main(argv[1:])
-    if argv and argv[0] == "race":
-        from repro.sanitize.cli import race_main
-
-        return race_main(argv[1:])
-    if argv and argv[0] == "replay":
-        from repro.replay.cli import main as replay_main
-
-        return replay_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import main as serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        from repro.analytics.cli import main as analyze_main
-
-        return analyze_main(argv[1:])
-    if argv and argv[0] == "obs":
-        from repro.obs.cli import obs_main
-
-        return obs_main(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        module, entry = COMMANDS[argv[0]]
+        return getattr(importlib.import_module(module), entry)(argv[1:])
     return demo()
 
 

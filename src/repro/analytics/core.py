@@ -19,12 +19,9 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from typing import Iterable
 
-from repro.hw.params import LINE_SIZE, LOG_RECORD_SIZE, PAGE_SIZE
+import numpy as np
 
-try:  # optional acceleration for the stream tap's column folds
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+from repro.hw.params import LINE_SIZE, LOG_RECORD_SIZE, PAGE_SIZE
 
 #: Default working-set window, matching
 #: :func:`repro.analysis.locality.working_set_curve`.
@@ -60,17 +57,6 @@ class StatsFold:
             self.first_timestamp = record.timestamp
         self.last_timestamp = record.timestamp
         self.writes_per_page[record.addr // PAGE_SIZE] += 1
-
-    def fold_columns(
-        self, pages: list[int], data_bytes: int, first_ts: int, last_ts: int
-    ) -> None:
-        """Batch entry point for the stream tap's decoded columns."""
-        self.record_count += len(pages)
-        self.data_bytes_written += data_bytes
-        if self.first_timestamp is None:
-            self.first_timestamp = first_ts
-        self.last_timestamp = last_ts
-        self.writes_per_page.update(pages)
 
     def fold_page_counts(
         self,
@@ -177,7 +163,7 @@ class WindowedWss:
         if not current:
             nwin = (n - pos) // window
             if nwin:
-                block = _np.sort(
+                block = np.sort(
                     pages[pos : pos + nwin * window].reshape(nwin, window),
                     axis=1,
                 )

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro import probe
 from repro.faults import plan as faultplan
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
-from repro.hw.records import RECORD_STRUCT
 from repro.analytics.core import (
     DEFAULT_HEAT_HALF_LIFE,
     DEFAULT_WSS_WINDOW,
@@ -38,7 +39,6 @@ from repro.analytics.core import (
     RateEwma,
     StatsFold,
     WindowedWss,
-    _np,
 )
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
@@ -108,45 +108,34 @@ class LogTap:
         if tail == cursor:
             return 0
         prev_last_ts = self.stats.last_timestamp
-        if self._fast and _np is not None:
+        if self._fast:
             # Column decode without per-record Python: a 16-byte record
             # is four little-endian words (addr, value, size|flags<<16,
             # timestamp), so strided views give whole columns at once
             # and the folds see only per-page aggregates.
             data = log.read_bytes(cursor, tail - cursor)
-            words = _np.frombuffer(data, dtype="<u4")
+            words = np.frombuffer(data, dtype="<u4")
             addrs = words[0::4]
             stamps = words[3::4]
-            sizes = _np.frombuffer(data, dtype="<u2")[4::8]
+            sizes = np.frombuffer(data, dtype="<u2")[4::8]
             pages = addrs >> _PAGE_SHIFT
-            uniq, counts = _np.unique(pages, return_counts=True)
+            uniq, counts = np.unique(pages, return_counts=True)
             page_counts = dict(zip(uniq.tolist(), counts.tolist()))
             last_ts = int(stamps[-1])
             self.stats.fold_page_counts(
                 page_counts,
                 len(addrs),
-                int(sizes.sum(dtype=_np.int64)),
+                int(sizes.sum(dtype=np.int64)),
                 int(stamps[0]),
                 last_ts,
             )
             self.wss.extend_pages_array(pages)
             self.heat.touch_many(page_counts, last_ts)
             consumed = len(addrs)
-        elif self._fast:
-            data = log.read_bytes(cursor, tail - cursor)
-            columns = list(zip(*RECORD_STRUCT.iter_unpack(data)))
-            addrs = columns[0]
-            pages = [a >> _PAGE_SHIFT for a in addrs]
-            stamps = columns[4]
-            last_ts = stamps[-1]
-            self.stats.fold_columns(pages, sum(columns[2]), stamps[0], last_ts)
-            self.wss.extend_pages(pages)
-            self.heat.touch_many(Counter(pages), last_ts)
-            consumed = len(addrs)
         else:
             # Heat is *advance-granular* on every path: the records of
             # one advance are counted at the batch's last timestamp
-            # (matching the column paths above), with decay applied
+            # (matching the column path above), with decay applied
             # between advances.
             consumed = 0
             batch_pages: Counter[int] = Counter()

@@ -11,8 +11,8 @@ store, in the spirit of rr's chaos mode (deterministic schedules that
 *look* adversarial but replay exactly).
 
 Instrumented modules (``backends/base.py``, ``rvm/wal.py``,
-``rvm/rvm.py``, ``rvm/rlvm.py``, ``hw/fifo.py``, ``hw/logger.py``,
-``timewarp/state_saving.py``) call the module-level hooks, which are
+``rvm/library.py``, ``rvm/rvm.py``, ``rvm/rlvm.py``, ``hw/fifo.py``,
+``hw/logger.py``, ``timewarp/state_saving.py``) call the module-level hooks, which are
 no-ops unless a plan is installed — the unfaulted hot paths pay one
 ``is None`` check.
 

@@ -7,9 +7,10 @@ site literal against :data:`ALL_SITES`, and
 ``tests/faults/test_sites_registry.py`` keeps this file in sync with
 the code and proves each site is exercised by at least one test.
 
-Sites appearing in more than one file are intentional: the rvm and
-rlvm libraries share one durability protocol, so they share its crash
-points.
+The rvm and rlvm libraries share one durability protocol
+(``repro/rvm/library.py``), which declares its crash points once; only
+``rvm.commit.begin`` and ``rvm.abort``, where each library's own commit
+and abort start, appear in both library files.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ SITES: dict[str, tuple[str, ...]] = {
     "replay.restore": ("repro/replay/engine.py",),
     "rvm.abort": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
     "rvm.commit.begin": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
-    "rvm.commit.buffered": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
-    "rvm.commit.durable": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
-    "rvm.commit.log": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
-    "rvm.flush": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
-    "rvm.truncate.applied": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
-    "rvm.truncate.apply": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
-    "rvm.truncate.begin": ("repro/rvm/rlvm.py", "repro/rvm/rvm.py"),
+    "rvm.commit.buffered": ("repro/rvm/library.py",),
+    "rvm.commit.durable": ("repro/rvm/library.py",),
+    "rvm.commit.log": ("repro/rvm/library.py",),
+    "rvm.flush": ("repro/rvm/library.py",),
+    "rvm.truncate.applied": ("repro/rvm/library.py",),
+    "rvm.truncate.apply": ("repro/rvm/library.py",),
+    "rvm.truncate.begin": ("repro/rvm/library.py",),
     "timewarp.rollback.restore": ("repro/timewarp/state_saving.py",),
     "wal.append": ("repro/rvm/wal.py",),
     "wal.append_group": ("repro/rvm/wal.py",),

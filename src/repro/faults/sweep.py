@@ -41,6 +41,8 @@ from repro.faults.checker import (
 )
 from repro.faults.plan import SITE_DISK_WRITE, CrashPoint, CrashSpec, FaultPlan
 from repro.hw.params import MachineConfig
+from repro.rvm.rlvm import RLVM
+from repro.rvm.rvm import RVM
 
 #: Small machine: sweeps boot one per crash run.
 SWEEP_CONFIG = MachineConfig(memory_bytes=32 * 1024 * 1024)
@@ -131,7 +133,7 @@ def run_script(
             if site == "rvm.truncate.applied"
             else None
         )
-        is_rvm = not hasattr(rseg, "data_va")
+        is_rvm = isinstance(backend, RVM)
         crash = None
         end_snapshot = None
         with faultplan.installed(plan):
@@ -271,8 +273,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.backends import make_backend
-    from repro.rvm.rlvm import RLVM
-    from repro.rvm.rvm import RVM
 
     backends = {"rvm": RVM, "rlvm": RLVM}
     failures = []

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from repro.errors import LVMError
 from repro.core.process import Process
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.rlvm import RLVM, RLVMTransaction
 from repro.oodb.schema import (
     NEXT_LINK_OFFSET,

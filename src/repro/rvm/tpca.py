@@ -212,8 +212,7 @@ class TPCABenchmark:
 
     def _warm(self) -> None:
         """Touch every page of the recoverable segment once."""
-        seg = self.backend.segments["tpca"]
-        base = seg.data_va if hasattr(seg, "data_va") else seg.base_va
+        base = self.backend.segments["tpca"].data_va
         for off in range(0, self._total_bytes, 4096):
             self.proc.read(base + off)
         self.proc.machine.quiesce()
@@ -227,7 +226,7 @@ class TPCABenchmark:
         cfg = self.config
         seg = self.backend.segments["tpca"]
         segment = seg.segment
-        data_off = 0 if self._is_rvm else 16
+        data_off = seg.data_va - seg.base_va
         acc = sum(
             segment.read(data_off + self.accounts_off + 4 * i, 4)
             for i in range(cfg.n_accounts)

@@ -33,9 +33,10 @@ site literal against :data:`ALL_SITES`, and
 ``tests/faults/test_sites_registry.py`` keeps this file in sync with
 the code and proves each site is exercised by at least one test.
 
-Sites appearing in more than one file are intentional: the rvm and
-rlvm libraries share one durability protocol, so they share its crash
-points.
+The rvm and rlvm libraries share one durability protocol
+(``repro/rvm/library.py``), which declares its crash points once; only
+``rvm.commit.begin`` and ``rvm.abort``, where each library's own commit
+and abort start, appear in both library files.
 """
 
 from __future__ import annotations

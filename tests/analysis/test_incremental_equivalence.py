@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.analysis.locality import (
@@ -17,7 +18,7 @@ from repro.analysis.locality import (
 )
 from repro.analysis.logstats import compute_stats
 from repro.analysis.redundancy import analyse, last_write_only
-from repro.analytics.core import WindowedWss, _np
+from repro.analytics.core import WindowedWss
 from repro.hw.params import LINE_SIZE, LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import LogRecord
 
@@ -149,7 +150,6 @@ class TestWindowedWssBatchPaths:
         assert batched.latest == reference.latest
         assert batched.windows_closed == reference.windows_closed
 
-    @pytest.mark.skipif(_np is None, reason="numpy not available")
     @pytest.mark.parametrize("window", [1, 3, 16, 64])
     def test_extend_pages_array_equals_per_page_fold(self, window):
         pages = [(p * 7 + p // 13) % 29 for p in range(211)]
@@ -158,7 +158,7 @@ class TestWindowedWssBatchPaths:
             reference.fold_page(page)
         vectorised = WindowedWss(window)
         for chunk in self.chunked(pages, [2, 1, 47, 0, 128, 9]):
-            vectorised.extend_pages_array(_np.asarray(chunk, dtype=_np.uint64))
+            vectorised.extend_pages_array(np.asarray(chunk, dtype=np.uint64))
         assert vectorised.curve() == reference.curve()
         assert vectorised.latest == reference.latest
         assert vectorised.windows_closed == reference.windows_closed

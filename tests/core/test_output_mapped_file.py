@@ -8,7 +8,7 @@ from repro.core.log_reader import RegionLogView
 from repro.core.mapped_file import MappedFile
 from repro.core.process import create_process
 from repro.output import MappedOutputDevice, StateVisualizer
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.hw.params import PAGE_SIZE
 
 

@@ -15,7 +15,7 @@ from repro.faults.checker import (
     recover,
 )
 from repro.faults.sweep import DEFAULT_SCRIPT, check_run, run_script
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.rlvm import RLVM
 from repro.rvm.rvm import RVM
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AddressError, RecoveryError
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.wal import EntryKind, WriteAheadLog
 
 

@@ -9,7 +9,7 @@ import zlib
 import pytest
 
 from repro.faults import CrashPoint, FaultPlan, installed
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.rvm import RVM
 from repro.rvm.wal import EntryKind, WriteAheadLog
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RecoveryError
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.rlvm import RLVM
 from repro.rvm.rvm import RVM
 from repro.rvm.wal import EntryKind, WriteAheadLog
