@@ -6,16 +6,17 @@ debugger attaches logging to the application's region *dynamically*
 ("with no change to the program binary", section 2.7), catches the
 overwrite, and reverse-executes to find exactly which write did it.
 
-The reverse executor is backed by the checkpointed replay engine
-(`repro.replay`): it keeps periodic deferred-copy-style checkpoints so
-each seek restores the nearest checkpoint and replays only the gap —
-O(distance) instead of replaying the whole history.
+Reverse execution is the checkpointed replay engine (`repro.replay`):
+it keeps periodic deferred-copy-style checkpoints so each seek restores
+the nearest checkpoint and replays only the gap — O(distance) instead
+of replaying the whole history.
 
 Run:  python examples/debugger_session.py
 """
 
 from repro import StdRegion, StdSegment, boot, this_process
-from repro.debugger import ReverseExecutor, WriteMonitor
+from repro.debugger import WriteMonitor
+from repro.replay import ReplayEngine
 
 BALANCE = 0x40      # the variable we care about
 SCRATCH = 0x80      # where the app is supposed to write
@@ -42,10 +43,10 @@ def main() -> None:
     print(f"balance initialised to {proc.read(va + BALANCE)}")
 
     # The debugger attaches: logging appears dynamically.  The monitor
-    # is non-consuming so the reverse executor sees the full history.
+    # is non-consuming so the replay engine sees the full history.
     monitor = WriteMonitor(region, consume=False)
     # Checkpoint every 4 writes: seeks replay at most a 4-record gap.
-    rex = ReverseExecutor(region, checkpoint_interval=4)  # shares the same log
+    engine = ReplayEngine(region, checkpoint_interval=4)  # shares the same log
     monitor.watch(va + BALANCE)
     print("debugger attached; watching the balance word\n")
 
@@ -58,11 +59,11 @@ def main() -> None:
         print(f"  write of {hit.value:#x} to {hit.vaddr:#x} at t={hit.timestamp}")
 
     # Which write clobbered it, and what was there before?
-    culprits = rex.when_written(va + BALANCE)
+    culprits = engine.writes_to(va + BALANCE)
     pos, record = culprits[0]
     print(f"\nreverse execution: balance was written at history position {pos}")
-    before = rex.state_at(pos - 1)
-    after = rex.state_at(pos)
+    before = engine.state_at(pos - 1)
+    after = engine.state_at(pos)
     b = int.from_bytes(before[BALANCE:BALANCE + 4], "little")
     a = int.from_bytes(after[BALANCE:BALANCE + 4], "little")
     print(f"  state before that write: balance = {b}")
@@ -72,15 +73,15 @@ def main() -> None:
 
     # The same moment, addressed by machine cycle instead of position —
     # log records carry timestamps, so history is time-indexed too.
-    cycle = record.timestamp * rex.machine.config.timestamp_divider
-    assert rex.state_at_cycle(cycle - 1) == before
+    cycle = record.timestamp * engine.machine.config.timestamp_divider
+    assert engine.state_at_cycle(cycle - 1) == before
     print(f"  (that write landed at machine cycle ~{cycle})")
 
-    stats = rex.engine.stats
+    stats = engine.stats
     print(f"\nreplay engine: {stats.checkpoints_captured} checkpoints "
           f"captured, {stats.records_replayed} records replayed across "
           f"{stats.seeks} seeks "
-          f"({rex.engine.checkpoint_cost_cycles} simulated cycles charged)")
+          f"({engine.checkpoint_cost_cycles} simulated cycles charged)")
 
 
 if __name__ == "__main__":

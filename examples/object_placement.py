@@ -19,7 +19,7 @@ from repro import (
     boot,
     this_process,
 )
-from repro.analysis import analyse
+from repro.analytics import RedundancyFold, fold_records
 
 
 def make_heap(proc, logged):
@@ -61,7 +61,7 @@ def main() -> None:
     print(f"\nfield-fractured object: 500 scratch writes + 5 persistent "
           f"writes -> {log.record_count - 1} new log records")
 
-    report = analyse(log)
+    (report,) = fold_records(log.records(), RedundancyFold())
     print(f"redundancy analysis: {report.total_writes} logged writes, "
           f"{report.unique_locations} locations, "
           f"compression ratio {report.compression_ratio:.1f}")

@@ -36,8 +36,10 @@ Package layout:
   instrumentation;
 * :mod:`repro.consistency` — Munin-style twin/diff vs log-based
   distributed consistency;
-* :mod:`repro.debugger` — write monitoring, reverse execution, traces;
-* :mod:`repro.analysis` — log post-processing utilities.
+* :mod:`repro.replay` — checkpointed replay: reverse execution;
+* :mod:`repro.debugger` — write monitoring and address traces;
+* :mod:`repro.analytics` — log statistics, redundancy and locality
+  folds, run post hoc or live on the log stream.
 """
 
 from repro.core import (

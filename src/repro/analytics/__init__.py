@@ -4,10 +4,11 @@ The write log is "a more compact and complete indication of state
 changes than the sequence of checkpoints" — this package mines it
 *while the program runs* instead of post mortem:
 
-* :mod:`repro.analytics.core` — incremental folds over log records
-  (the single implementation behind :mod:`repro.analysis` too):
-  aggregate stats, windowed working-set size, cycle-decayed page heat,
-  write-rate EWMAs, and log-growth forecasts.
+* :mod:`repro.analytics.core` — incremental folds over log records,
+  run post hoc with :func:`fold_records` or live by the stream tap:
+  aggregate stats, redundant writes, reuse-distance locality, windowed
+  working-set size, cycle-decayed page heat, write-rate EWMAs, and
+  log-growth forecasts.
 * :mod:`repro.analytics.stream` — :class:`LogTap` consumes a
   :class:`~repro.core.log_segment.LogSegment` tail incrementally with
   *untimed functional reads* (zero cycle perturbation), and

@@ -2,12 +2,11 @@
 
 Every estimator here is a *fold*: feed it records one at a time (or in
 column batches, for the stream tap's hot loop) and read the running
-result at any point.  Folding a complete log produces exactly what the
-offline :mod:`repro.analysis` modules compute — they are thin wrappers
-over these classes — and folding incrementally while the program runs
-produces the same numbers live, which is what the online estimators
-the Intel PML line of work builds (working-set size from the dirty
-stream) need.
+result at any point.  Folding a complete log (:func:`fold_records`) is
+the post-run analysis of section 1, and folding incrementally while the
+program runs produces the same numbers live, which is what the online
+estimators the Intel PML line of work builds (working-set size from
+the dirty stream) need.
 
 Nothing in this module touches the simulated machine: folds consume
 decoded records or raw columns, so attaching them costs zero simulated
@@ -23,8 +22,7 @@ import numpy as np
 
 from repro.hw.params import LINE_SIZE, LOG_RECORD_SIZE, PAGE_SIZE
 
-#: Default working-set window, matching
-#: :func:`repro.analysis.locality.working_set_curve`.
+#: Default working-set window, in records.
 DEFAULT_WSS_WINDOW = 64
 
 #: Default page-heat half life in record-timestamp ticks (the 6.25 MHz
@@ -33,7 +31,7 @@ DEFAULT_HEAT_HALF_LIFE = 4096
 
 
 class StatsFold:
-    """Running :class:`~repro.analysis.logstats.LogStats` aggregates."""
+    """Running aggregates over a log: counts, bytes, span, page spread."""
 
     __slots__ = (
         "record_count",
@@ -88,6 +86,19 @@ class StatsFold:
     def pages_touched(self) -> int:
         return len(self.writes_per_page)
 
+    @property
+    def writes_per_1k_timestamps(self) -> float:
+        if self.duration_timestamps == 0:
+            return 0.0
+        return 1000 * self.record_count / self.duration_timestamps
+
+    @property
+    def log_expansion(self) -> float:
+        """Log bytes per data byte written (16-byte records amplify)."""
+        if self.data_bytes_written == 0:
+            return 0.0
+        return self.bytes_logged / self.data_bytes_written
+
     def as_dict(self) -> dict:
         return {
             "record_count": self.record_count,
@@ -101,10 +112,9 @@ class StatsFold:
 class WindowedWss:
     """Working-set size per ``window`` consecutive writes.
 
-    Chunking matches :func:`repro.analysis.locality.working_set_curve`
-    exactly: non-overlapping chunks of ``window`` records in log order,
-    each contributing the number of unique pages it touched, with a
-    final partial chunk when the record count is not a multiple.
+    Non-overlapping chunks of ``window`` records in log order, each
+    contributing the number of unique pages it touched, with a final
+    partial chunk when the record count is not a multiple.
     """
 
     __slots__ = ("window", "_closed", "_current")
@@ -126,23 +136,8 @@ class WindowedWss:
             self._closed.append(len(set(current)))
             self._current = []
 
-    def extend_pages(self, pages: list[int]) -> None:
-        """Batch entry point; identical to folding each page in order."""
-        window = self.window
-        current = self._current
-        pos = 0
-        n = len(pages)
-        while pos < n:
-            take = min(window - len(current), n - pos)
-            current.extend(pages[pos : pos + take])
-            pos += take
-            if len(current) == window:
-                self._closed.append(len(set(current)))
-                current = []
-        self._current = current
-
     def extend_pages_array(self, pages) -> None:
-        """Vectorised :meth:`extend_pages` over a 1-D numpy array.
+        """Batch :meth:`fold_page` over a 1-D numpy array of pages.
 
         Full windows are counted with a sort-and-compare sweep (distinct
         elements per row of the window-shaped view); only the boundary
@@ -315,14 +310,11 @@ class GrowthForecast:
 
 
 class LocalityFold:
-    """Incremental LRU-stack locality metrics.
+    """Incremental LRU-stack locality metrics (section 1 address traces).
 
-    The running state is the same LRU stack
-    :func:`repro.analysis.locality.reuse_distances` walks, so folding a
-    complete record sequence reproduces
-    :func:`repro.analysis.locality.analyse_locality` exactly —
-    including its power-of-two distance bucketing and the
-    most-recent-8-lines "hot" criterion.
+    Each line access is charged its LRU stack distance: the number of
+    distinct lines written since the previous write to it.  An access
+    is "hot" when its line was one of the 8 most recently written.
     """
 
     __slots__ = ("accesses", "hot", "histogram", "pages", "_stack")
@@ -330,6 +322,9 @@ class LocalityFold:
     def __init__(self) -> None:
         self.accesses = 0
         self.hot = 0
+        #: reuse-distance histogram: bucket ``i`` counts distances ``d``
+        #: with ``2**i <= d + 1 < 2**(i + 1)`` (d = 0 -> 0, 1-2 -> 1,
+        #: 3-6 -> 2, ...); bucket -1 counts cold (first-touch) accesses
         self.histogram: Counter[int] = Counter()
         self.pages: set[int] = set()
         self._stack: OrderedDict[int, None] = OrderedDict()
@@ -368,9 +363,37 @@ class LocalityFold:
     def hot_fraction(self) -> float:
         return self.hot / self.accesses if self.accesses else 0.0
 
+    @property
+    def cold_accesses(self) -> int:
+        return self.histogram.get(-1, 0)
+
+    def cache_hit_estimate(self, cache_lines: int) -> float:
+        """Estimated hit rate of a fully-associative LRU cache of
+        ``cache_lines`` lines, straight from the reuse histogram.
+
+        Bucket ``i`` counts as hits only when ``2**(i + 1) <= cache_lines``
+        (so every distance in it is below ``cache_lines - 1``): the
+        estimate rounds down at bucket edges.
+        """
+        if self.accesses == 0:
+            return 0.0
+        hits = sum(
+            count
+            for bucket, count in self.histogram.items()
+            if bucket >= 0 and (1 << (bucket + 1)) <= cache_lines
+        )
+        return hits / self.accesses
+
 
 class RedundancyFold:
-    """Incremental per-address rewrite counts (section 2.7)."""
+    """Incremental per-address rewrite counts (section 2.7).
+
+    Section 2.7: the logs "provide the information required to identify
+    and eliminate" repeated writes to a location whose last value is
+    the only one of interest.  This fold ranks addresses by rewrite
+    count and says how much smaller the log would be if only each
+    location's final write were kept.
+    """
 
     __slots__ = ("counts", "total_writes")
 
@@ -389,6 +412,19 @@ class RedundancyFold:
     @property
     def redundant_writes(self) -> int:
         return self.total_writes - len(self.counts)
+
+    @property
+    def compression_ratio(self) -> float:
+        """log size / last-write-only size (1.0 = nothing redundant)."""
+        if not self.counts:
+            return 1.0
+        return self.total_writes / len(self.counts)
+
+    @property
+    def redundant_fraction(self) -> float:
+        if self.total_writes == 0:
+            return 0.0
+        return self.redundant_writes / self.total_writes
 
     def hot_locations(self, top: int = 10) -> list[tuple[int, int]]:
         return self.counts.most_common(top)

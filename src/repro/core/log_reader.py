@@ -135,6 +135,11 @@ class LogFollower:
         return max(0, self.view.log.append_offset - self._cursor)
 
     def synchronize(self) -> list[LogRecord]:
-        """Sync with the end of the log (producer handoff point)."""
-        self.view.region.machine.sync(self.view.region.machine.cpu(0))
+        """Sync with the end of the log (producer handoff point).
+
+        Quiesces the whole machine — every CPU's write buffer and the
+        logger pipeline — so writes from any CPU are read, and ordered
+        before whatever the reader does next.
+        """
+        self.view.region.machine.quiesce()
         return self.poll()

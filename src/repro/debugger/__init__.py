@@ -1,12 +1,11 @@
-"""Debugging uses of LVM: write monitoring, reverse execution, tracing.
+"""Debugging uses of LVM: write monitoring and address tracing.
 
 The log-consuming tools of sections 1 and 2.7: a debugger attaches
 logging to a running program's regions with no change to the program
-binary, then watches writes, travels backward through the write
-history, or extracts address traces.
+binary, then watches writes or extracts address traces.  Reverse
+execution is :class:`repro.replay.ReplayEngine` itself.
 """
 
-from repro.debugger.reverse import ReverseExecutor
 from repro.debugger.trace import (
     TraceCacheSimulator,
     TraceEntry,
@@ -16,7 +15,6 @@ from repro.debugger.trace import (
 from repro.debugger.watch import Overwrite, WatchHit, WriteMonitor
 
 __all__ = [
-    "ReverseExecutor",
     "TraceCacheSimulator",
     "TraceEntry",
     "extract_trace",

@@ -27,8 +27,12 @@ class TraceEntry:
 
 
 def extract_trace(log: LogSegment) -> list[TraceEntry]:
-    """Extract the (address, size, timestamp) write trace from a log."""
-    log.machine.sync(log.machine.cpu(0))
+    """Extract the (address, size, timestamp) write trace from a log.
+
+    Quiesces the whole machine first, so writes from every CPU are in
+    the log and ordered before the read.
+    """
+    log.machine.quiesce()
     return [
         TraceEntry(record.addr, record.size, record.timestamp)
         for record in log.records()

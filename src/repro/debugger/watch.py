@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import LoggingError
-from repro.core.log_reader import RegionLogView
+from repro.core.log_reader import LogFollower, RegionLogView
 from repro.core.log_segment import LogSegment
 from repro.core.region import Region
 from repro.hw.records import LogRecord
@@ -54,26 +54,23 @@ class WriteMonitor:
         consume: bool = True,
     ) -> None:
         """``consume=False`` leaves polled records in the log so other
-        tools (e.g. a :class:`~repro.debugger.reverse.ReverseExecutor`
-        sharing the same log) still see the full history."""
+        tools (e.g. a :class:`~repro.replay.ReplayEngine` sharing the
+        same log) still see the full history."""
         if not region.is_bound:
             raise LoggingError("attach the monitor to a bound region")
         self.region = region
-        self.machine = region.machine
         self.consume = consume
-        self._cursor = 0
         if region.log_segment is None:
             # The debugger adds logging dynamically (section 2.7).
-            self.log = log or LogSegment(machine=self.machine)
+            self.log = log or LogSegment(machine=region.machine)
             region.log(self.log)
             self._owns_log = True
         else:
             self.log = region.log_segment
             self._owns_log = False
-        self._view = RegionLogView(region, self.log)
+        self._follower = LogFollower(RegionLogView(region, self.log))
         self._watched: set[int] = set()
         self._last_write: dict[int, LogRecord] = {}
-        self.write_count = 0
 
     def detach(self) -> None:
         """Remove the monitor (and its dynamically-added log)."""
@@ -89,10 +86,6 @@ class WriteMonitor:
         for a in range(vaddr, vaddr + length):
             self._watched.discard(a)
 
-    def _record_vaddr(self, record: LogRecord) -> int:
-        """Map a log record's address back to a virtual address."""
-        return self._view.va_of(record)
-
     def poll(self) -> tuple[list[WatchHit], list[Overwrite]]:
         """Consume new log records; report watch hits and overwrites.
 
@@ -100,14 +93,11 @@ class WriteMonitor:
         write has not been acknowledged via :meth:`acknowledge` — the
         "data was erroneously overwritten" check.
         """
-        self.machine.sync(self.machine.cpu(0))
         hits: list[WatchHit] = []
         overwrites: list[Overwrite] = []
-        for offset, record in self.log.records_with_offsets():
-            if offset < self._cursor:
-                continue
-            self.write_count += 1
-            vaddr = self._record_vaddr(record)
+        view = self._follower.view
+        for record in self._follower.synchronize():
+            vaddr = view.va_of(record)
             if any(a in self._watched for a in range(vaddr, vaddr + record.size)):
                 hits.append(WatchHit(vaddr, record.value, record.size, record.timestamp))
             previous = self._last_write.get(vaddr)
@@ -124,9 +114,6 @@ class WriteMonitor:
             self._last_write[vaddr] = record
         if self.consume:
             self.log.truncate()
-            self._cursor = self.log.start_offset
-        else:
-            self._cursor = self.log.append_offset
         return hits, overwrites
 
     def acknowledge(self, vaddr: int) -> None:

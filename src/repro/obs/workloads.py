@@ -7,7 +7,7 @@ call; the workloads themselves only *use* the machine.
 
 The returned summary always contains ``machine`` (for snapshots and
 cycle reconciliation) and, where a hardware log was produced, ``log``
-(for :mod:`repro.analysis.logstats` reconciliation).
+(for reconciliation with :class:`repro.analytics.core.StatsFold`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ Using Virtual Machines":
   since the previous checkpoint, cost-charged with the
   ``resetDeferredCopy`` constants (:mod:`repro.core.deferred_copy`).
 * :mod:`repro.replay.engine` — :class:`ReplayEngine`, the cycle-indexed
-  seek machine: ``seek(n)`` restores the nearest checkpoint and replays
+  seek machine: ``state_at(n)`` restores the nearest checkpoint and replays
   only the gap, so a seek costs O(distance from a checkpoint) instead
   of O(history).
 * :mod:`repro.replay.divergence` — record a reference run (log-record

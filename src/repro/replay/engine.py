@@ -3,10 +3,9 @@
 :class:`ReplayEngine` attaches to a logged region, snapshots it once
 (the base image), and thereafter reconstructs the region's contents *as
 of any logged write* — or any machine cycle — by restoring the nearest
-checkpoint and replaying only the gap of log records.  The seed
-implementation in ``debugger/reverse.py`` re-replayed the entire
-history from the attach snapshot on every seek; here a seek costs
-O(checkpoint interval + region size), independent of history length.
+checkpoint and replaying only the gap of log records.  This is the
+reverse execution of section 1: a seek costs O(checkpoint interval +
+region size), independent of history length.
 
 Design notes:
 
@@ -132,11 +131,22 @@ class ReplayEngine:
         self._refresh()
         return list(self._parsed.records)
 
-    def writes(self) -> list[ReplayWrite]:
-        """The history as offset-translated writes (same positions)."""
+    def writes_to(self, vaddr: int) -> list[tuple[int, LogRecord]]:
+        """Every (position, record) whose write covered ``vaddr``.
+
+        The debugger's "who clobbered this variable, and when?",
+        answered from the log: the write at position ``p`` takes the
+        region from ``state_at(p - 1)`` to ``state_at(p)``.
+        """
+        offset = self.region.va_to_offset(vaddr)
         self.machine.quiesce()
         self._refresh()
-        return list(self._parsed.writes)
+        parsed = self._parsed
+        return [
+            (i + 1, parsed.records[i])
+            for i, write in enumerate(parsed.writes)
+            if write.offset <= offset < write.offset + write.size
+        ]
 
     def __len__(self) -> int:
         self.machine.quiesce()

@@ -1,8 +1,7 @@
-"""The offline analysis modules are thin wrappers over the shared
-incremental folds in :mod:`repro.analytics.core`.  These tests pin the
-wrappers to naive inline oracles, so re-expressing them over the folds
-provably changed nothing — and the folds' batch entry points (the
-stream tap's hot paths) match their per-record forms exactly."""
+"""The log-analysis folds of :mod:`repro.analytics.core`, pinned to
+naive inline oracles over a whole record stream — and the folds' batch
+entry points (the stream tap's hot paths) match their per-record forms
+exactly."""
 
 from __future__ import annotations
 
@@ -11,14 +10,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.analysis.locality import (
-    analyse_locality,
-    reuse_distances,
-    working_set_curve,
+from conftest import reuse_distances
+from repro.analytics.core import (
+    LocalityFold,
+    RedundancyFold,
+    StatsFold,
+    WindowedWss,
+    fold_records,
 )
-from repro.analysis.logstats import compute_stats
-from repro.analysis.redundancy import analyse, last_write_only
-from repro.analytics.core import WindowedWss
 from repro.hw.params import LINE_SIZE, LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import LogRecord
 
@@ -51,7 +50,7 @@ def synthetic_records(n=500, seed=0x5EED):
 class TestLogStatsEquivalence:
     def test_compute_stats_matches_naive_oracle(self):
         records = synthetic_records()
-        stats = compute_stats(records)
+        (stats,) = fold_records(records, StatsFold())
 
         assert stats.record_count == len(records)
         assert stats.bytes_logged == len(records) * LOG_RECORD_SIZE
@@ -64,7 +63,7 @@ class TestLogStatsEquivalence:
         assert stats.pages_touched == len(per_page)
 
     def test_empty_log(self):
-        stats = compute_stats([])
+        stats = StatsFold()
         assert stats.record_count == 0
         assert stats.duration_timestamps == 0
         assert stats.writes_per_1k_timestamps == 0.0
@@ -74,7 +73,7 @@ class TestLogStatsEquivalence:
 class TestLocalityEquivalence:
     def test_analyse_locality_matches_reuse_distance_oracle(self):
         records = synthetic_records()
-        report = analyse_locality(records)
+        (report,) = fold_records(records, LocalityFold())
 
         lines = [r.addr // LINE_SIZE for r in records]
         distances = reuse_distances(lines)
@@ -96,12 +95,13 @@ class TestLocalityEquivalence:
             while (1 << (bucket + 1)) <= d + 1:
                 bucket += 1
             histogram[bucket] += 1
-        assert report.reuse_histogram == dict(histogram)
+        assert report.histogram == histogram
 
     def test_working_set_curve_matches_chunking_oracle(self):
         records = synthetic_records(n=333)
         for window in (1, 7, 64, 500):
-            curve = working_set_curve(records, window=window)
+            (wss,) = fold_records(records, WindowedWss(window))
+            curve = wss.curve()
             pages = [r.addr // PAGE_SIZE for r in records]
             oracle = [
                 len(set(pages[i : i + window]))
@@ -113,17 +113,14 @@ class TestLocalityEquivalence:
 class TestRedundancyEquivalence:
     def test_analyse_matches_counter_oracle(self):
         records = synthetic_records()
-        report = analyse(records, top=5)
+        (report,) = fold_records(records, RedundancyFold())
 
         counts = Counter(r.addr for r in records)
         assert report.total_writes == len(records)
         assert report.unique_locations == len(counts)
         assert report.redundant_writes == len(records) - len(counts)
-        assert report.hot_locations == counts.most_common(5)
+        assert report.hot_locations(5) == counts.most_common(5)
         assert report.compression_ratio == len(records) / len(counts)
-        collapsed = last_write_only(records)
-        assert len(collapsed) == len(counts)
-        assert {r.addr for r in collapsed} == set(counts)
 
 
 class TestWindowedWssBatchPaths:
@@ -136,19 +133,6 @@ class TestWindowedWssBatchPaths:
             pos += size
         if pos < len(pages):
             yield pages[pos:]
-
-    @pytest.mark.parametrize("window", [1, 3, 16, 64])
-    def test_extend_pages_equals_per_page_fold(self, window):
-        pages = [p % 37 for p in range(211)]
-        reference = WindowedWss(window)
-        for page in pages:
-            reference.fold_page(page)
-        batched = WindowedWss(window)
-        for chunk in self.chunked(pages, [1, 5, 0, 90, 16, 2]):
-            batched.extend_pages(chunk)
-        assert batched.curve() == reference.curve()
-        assert batched.latest == reference.latest
-        assert batched.windows_closed == reference.windows_closed
 
     @pytest.mark.parametrize("window", [1, 3, 16, 64])
     def test_extend_pages_array_equals_per_page_fold(self, window):

@@ -1,12 +1,10 @@
 """Tests: locality analysis and the optional L2 cache model."""
 
 
-from conftest import make_logged_region
-from repro.analysis.locality import (
-    analyse_locality,
-    reuse_distances,
-    working_set_curve,
-)
+import pytest
+
+from conftest import make_logged_region, reuse_distances
+from repro.analytics.core import LocalityFold, WindowedWss, fold_records
 from repro.core.context import boot, set_current_machine
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
@@ -16,6 +14,11 @@ from repro.hw.records import LogRecord
 
 def rec(addr):
     return LogRecord(addr=addr, value=0, size=4, timestamp=0)
+
+
+def locality(records):
+    (fold,) = fold_records(records, LocalityFold())
+    return fold
 
 
 class TestReuseDistances:
@@ -36,28 +39,30 @@ class TestReuseDistances:
 class TestAnalyseLocality:
     def test_hot_loop_has_high_locality(self):
         records = [rec(LINE_SIZE * (i % 4)) for i in range(100)]
-        report = analyse_locality(records)
+        report = locality(records)
         assert report.unique_lines == 4
         assert report.hot_fraction > 0.9
         assert report.cache_hit_estimate(64) > 0.9
 
     def test_streaming_scan_has_no_reuse(self):
         records = [rec(LINE_SIZE * i) for i in range(100)]
-        report = analyse_locality(records)
+        report = locality(records)
         assert report.cold_accesses == 100
         assert report.hot_fraction == 0.0
         assert report.cache_hit_estimate(1 << 20) == 0.0
 
     def test_empty_trace(self):
-        report = analyse_locality([])
+        report = LocalityFold()
         assert report.accesses == 0
         assert report.hot_fraction == 0.0
 
     def test_working_set_curve(self):
         records = [rec(PAGE_SIZE * (i // 64)) for i in range(256)]
-        assert working_set_curve(records, window=64) == [1, 1, 1, 1]
+        (wss,) = fold_records(records, WindowedWss(64))
+        assert wss.curve() == [1, 1, 1, 1]
         spread = [rec(PAGE_SIZE * i) for i in range(128)]
-        assert working_set_curve(spread, window=64) == [64, 64]
+        (wss,) = fold_records(spread, WindowedWss(64))
+        assert wss.curve() == [64, 64]
 
     def test_from_real_log(self, machine, proc):
         region, log, va = make_logged_region(machine)
@@ -65,11 +70,46 @@ class TestAnalyseLocality:
             for i in range(8):
                 proc.write(va + 4 * i, i)
         machine.quiesce()
-        report = analyse_locality(list(log.records()))
+        report = locality(log.records())
         assert report.accesses == 24
         assert report.unique_pages == 1
         assert report.unique_lines == 2  # 8 words = 2 lines
         assert report.hot_fraction > 0.9
+
+
+def fold_distance(distance):
+    """Fold one reuse at ``distance``: line 0, then ``distance`` fresh
+    lines, then line 0 again."""
+    fold = LocalityFold()
+    for line in range(distance + 1):
+        fold.fold_line(line)
+    assert fold.fold_line(0) == distance
+    return fold
+
+
+class TestHistogramBuckets:
+    """Bucket ``i`` holds distances with 2**i <= d + 1 < 2**(i + 1)."""
+
+    @pytest.mark.parametrize(
+        "distance, bucket", [(0, 0), (1, 1), (2, 1), (3, 2), (6, 2)]
+    )
+    def test_bucket_of_distance(self, distance, bucket):
+        fold = fold_distance(distance)
+        assert fold.histogram == {-1: distance + 1, bucket: 1}
+        assert fold.cold_accesses == distance + 1
+
+    def test_cache_hit_estimate_rounds_down_at_bucket_edge(self):
+        # Distance 2 lands in bucket 1, counted as a hit only once the
+        # cache holds 2**2 = 4 lines, although a 3-line LRU cache would
+        # already hit it.
+        fold = fold_distance(2)
+        assert fold.accesses == 4
+        assert fold.cache_hit_estimate(3) == 0.0
+        assert fold.cache_hit_estimate(4) == 0.25
+        # Distance 3 opens bucket 2, which needs 8 lines.
+        fold = fold_distance(3)
+        assert fold.cache_hit_estimate(7) == 0.0
+        assert fold.cache_hit_estimate(8) == 0.2
 
 
 class TestL2Model:

@@ -1,11 +1,11 @@
-"""Golden-value tests for :mod:`repro.analysis.logstats`.
+"""Golden-value tests for :class:`repro.analytics.core.StatsFold`.
 
 The fixture log is small enough to compute every statistic by hand, so
 these are *value* tests: a change to the aggregation arithmetic fails
 loudly instead of silently shifting experiment tables.
 """
 
-from repro.analysis.logstats import compute_stats, inter_write_gaps
+from repro.analytics.core import StatsFold, fold_records
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import LogRecord
 from repro.obs.core import Observability, installed
@@ -22,9 +22,14 @@ GOLDEN = [
 ]
 
 
+def stats_of(records):
+    (stats,) = fold_records(records, StatsFold())
+    return stats
+
+
 class TestComputeStatsGolden:
     def test_golden_values(self):
-        stats = compute_stats(GOLDEN)
+        stats = stats_of(GOLDEN)
         assert stats.record_count == 5
         assert stats.bytes_logged == 5 * LOG_RECORD_SIZE == 80
         assert stats.data_bytes_written == 4 + 4 + 2 + 4 + 1 == 15
@@ -33,27 +38,23 @@ class TestComputeStatsGolden:
         assert stats.writes_per_page == {0: 3, 2: 2}
 
     def test_derived_rates(self):
-        stats = compute_stats(GOLDEN)
+        stats = stats_of(GOLDEN)
         # 5 records over 100 timestamps -> 50 per 1000 timestamps.
         assert stats.writes_per_1k_timestamps == 50.0
         # 80 log bytes carrying 15 data bytes.
         assert stats.log_expansion == 80 / 15
 
     def test_empty_log(self):
-        stats = compute_stats([])
+        stats = stats_of([])
         assert stats.record_count == 0
         assert stats.writes_per_1k_timestamps == 0.0
         assert stats.log_expansion == 0.0
         assert stats.writes_per_page == {}
 
     def test_single_record_has_zero_duration(self):
-        stats = compute_stats(GOLDEN[:1])
+        stats = stats_of(GOLDEN[:1])
         assert stats.duration_timestamps == 0
         assert stats.writes_per_1k_timestamps == 0.0
-
-    def test_inter_write_gaps(self):
-        assert inter_write_gaps(GOLDEN) == [10, 40, 10, 40]
-        assert inter_write_gaps(GOLDEN[:1]) == []
 
 
 class TestMetricsAgreeWithLogstats:
@@ -62,7 +63,7 @@ class TestMetricsAgreeWithLogstats:
         # two independent tallies of the same run; they must agree.
         with installed(Observability()) as obs:
             summary = run_workload("copy")
-            stats = compute_stats(summary["log"])
+            stats = stats_of(summary["log"].records())
             snap = snapshot_machine(summary["machine"], obs)
         assert stats.record_count == summary["records_logged"]
         assert snap["gauges"]["hw.logger.records_logged"] == stats.record_count

@@ -1,6 +1,6 @@
-"""Golden-value tests for :mod:`repro.analysis.redundancy`."""
+"""Golden-value tests for :class:`repro.analytics.core.RedundancyFold`."""
 
-from repro.analysis.redundancy import analyse, last_write_only
+from repro.analytics.core import RedundancyFold, fold_records
 from repro.hw.records import LogRecord
 
 # Address 0x20 written three times, 0x40 twice, 0x60 once.
@@ -14,48 +14,39 @@ GOLDEN = [
 ]
 
 
+def redundancy_of(records):
+    (report,) = fold_records(records, RedundancyFold())
+    return report
+
+
 class TestAnalyseGolden:
     def test_golden_values(self):
-        report = analyse(GOLDEN)
+        report = redundancy_of(GOLDEN)
         assert report.total_writes == 6
         assert report.unique_locations == 3
         assert report.redundant_writes == 3
-        assert report.hot_locations == [(0x20, 3), (0x40, 2), (0x60, 1)]
+        assert report.hot_locations() == [(0x20, 3), (0x40, 2), (0x60, 1)]
 
     def test_derived_ratios(self):
-        report = analyse(GOLDEN)
+        report = redundancy_of(GOLDEN)
         assert report.compression_ratio == 2.0  # 6 writes / 3 locations
         assert report.redundant_fraction == 0.5
 
     def test_top_limits_hot_locations(self):
-        report = analyse(GOLDEN, top=1)
-        assert report.hot_locations == [(0x20, 3)]
+        report = redundancy_of(GOLDEN)
+        assert report.hot_locations(top=1) == [(0x20, 3)]
         # The summary counts are unaffected by the ranking cut-off.
         assert report.total_writes == 6
 
     def test_empty_log(self):
-        report = analyse([])
+        report = redundancy_of([])
         assert report.total_writes == 0
         assert report.compression_ratio == 1.0  # nothing redundant
         assert report.redundant_fraction == 0.0
-        assert report.hot_locations == []
+        assert report.hot_locations() == []
 
     def test_no_redundancy(self):
-        report = analyse(GOLDEN[:2])
+        report = redundancy_of(GOLDEN[:2])
         assert report.redundant_writes == 0
         assert report.compression_ratio == 1.0
 
-
-class TestLastWriteOnly:
-    def test_collapses_to_final_values_in_time_order(self):
-        collapsed = last_write_only(GOLDEN)
-        assert [(r.addr, r.value) for r in collapsed] == [
-            (0x60, 4),  # t=40
-            (0x20, 5),  # t=50
-            (0x40, 6),  # t=60
-        ]
-
-    def test_collapsed_log_has_compression_ratio_one(self):
-        report = analyse(last_write_only(GOLDEN))
-        assert report.redundant_writes == 0
-        assert report.compression_ratio == 1.0

@@ -1,20 +1,22 @@
-"""Golden agreement: the streaming estimator over a full log must
-reproduce the offline :mod:`repro.analysis` results exactly, on the
-same canned workloads the CI obs job runs."""
+"""Golden agreement: the live stream tap must reproduce the folds run
+post hoc over the full log exactly, on the same canned workloads the CI
+obs job runs."""
 
 from __future__ import annotations
 
-from repro.analysis.locality import working_set_curve
-from repro.analysis.logstats import compute_stats
-from repro.analysis.redundancy import analyse
-from repro.analytics.core import RedundancyFold, StatsFold
+from repro.analytics.core import (
+    RedundancyFold,
+    StatsFold,
+    WindowedWss,
+    fold_records,
+)
 from repro.analytics.stream import LogTap
 from repro.obs.workloads import run_workload
 
 
 def assert_stream_matches_offline(log, window=64):
     records = list(log.records())
-    stats = compute_stats(records)
+    stats, wss = fold_records(records, StatsFold(), WindowedWss(window))
     tap = LogTap(log, window=window)
     consumed = tap.advance()
 
@@ -24,8 +26,8 @@ def assert_stream_matches_offline(log, window=64):
     assert tap.stats.data_bytes_written == stats.data_bytes_written
     assert tap.stats.duration_timestamps == stats.duration_timestamps
     assert tap.stats.pages_touched == stats.pages_touched
-    assert dict(tap.stats.writes_per_page) == stats.writes_per_page
-    assert tap.wss.curve() == working_set_curve(records, window=window)
+    assert tap.stats.writes_per_page == stats.writes_per_page
+    assert tap.wss.curve() == wss.curve()
     # Heat covers exactly the pages the offline histogram knows about.
     assert set(tap.heat._heat) == set(stats.writes_per_page)
     return stats
@@ -66,22 +68,16 @@ class TestGoldenRlvm:
             else:
                 txn.commit(flush=(i % 2 == 0))
 
-        stats = compute_stats(stream_records)
+        stats, wss = fold_records(stream_records, StatsFold(), WindowedWss(4))
         assert stats.record_count == len(stream_records) > 0
         assert live.stats.record_count == stats.record_count
         assert live.stats.data_bytes_written == stats.data_bytes_written
         assert live.stats.duration_timestamps == stats.duration_timestamps
-        assert dict(live.stats.writes_per_page) == stats.writes_per_page
-        assert live.wss.curve() == working_set_curve(stream_records, window=4)
+        assert live.stats.writes_per_page == stats.writes_per_page
+        assert live.wss.curve() == wss.curve()
 
-        # Redundancy: the shared fold reproduces the offline report.
-        fold = RedundancyFold()
-        for record in stream_records:
-            fold.fold(record)
-        report = analyse(stream_records)
-        assert fold.total_writes == report.total_writes
-        assert fold.unique_locations == report.unique_locations
-        assert fold.redundant_writes == report.redundant_writes
+        (report,) = fold_records(stream_records, RedundancyFold())
+        assert report.total_writes == len(stream_records)
         assert report.redundant_writes > 0  # the rewrites are visible
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.core.context import boot, set_current_machine
@@ -98,3 +100,22 @@ def make_logged_region(machine, size=4 * 4096, log_kwargs=None, **log_extra):
     aspace = machine.current_process.address_space()
     va = region.bind(aspace)
     return region, log, va
+
+
+def reuse_distances(line_sequence: list[int]) -> list[int]:
+    """LRU stack distances for each access (-1 = first touch).
+
+    The naive list-reversal oracle that
+    :class:`repro.analytics.core.LocalityFold` is checked against.
+    """
+    stack: OrderedDict[int, None] = OrderedDict()
+    out = []
+    for line in line_sequence:
+        if line in stack:
+            distance = list(stack.keys())[::-1].index(line)
+            out.append(distance)
+            stack.move_to_end(line)
+        else:
+            out.append(-1)
+            stack[line] = None
+    return out

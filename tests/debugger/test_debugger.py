@@ -1,18 +1,22 @@
 """Tests: write monitoring, reverse execution, and address tracing."""
 
+import pytest
 
+from repro.analytics.core import RedundancyFold, StatsFold, fold_records
+from repro.core.log_reader import LogFollower, RegionLogView
 from repro.core.log_segment import LogSegment
+from repro.core.process import Process
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
 from repro.debugger import (
-    ReverseExecutor,
     TraceCacheSimulator,
     WriteMonitor,
     extract_trace,
     write_intensity,
 )
-from repro.analysis import analyse, compute_stats, last_write_only
 from repro.hw.params import PAGE_SIZE
+from repro.replay import ReplayEngine
+from repro.sanitize import race
 
 
 def make_target(machine, proc, size=2 * PAGE_SIZE, logged=False):
@@ -84,65 +88,43 @@ class TestWriteMonitor:
 class TestReverseExecutor:
     def test_state_at_positions(self, machine, proc):
         region, va = make_target(machine, proc)
-        rex = ReverseExecutor(region)
+        engine = ReplayEngine(region)
         proc.write(va, 10)
         proc.write(va + 4, 20)
         proc.write(va, 30)
-        assert len(rex) == 3
-        s0 = rex.state_at(0)
+        assert len(engine) == 3
+        s0 = engine.state_at(0)
         assert s0[:8] == bytes(8)
-        s2 = rex.state_at(2)
+        s2 = engine.state_at(2)
         assert int.from_bytes(s2[0:4], "little") == 10
         assert int.from_bytes(s2[4:8], "little") == 20
-        s3 = rex.state_at(3)
+        s3 = engine.state_at(3)
         assert int.from_bytes(s3[0:4], "little") == 30
-
-    def test_step_back_and_forward(self, machine, proc):
-        region, va = make_target(machine, proc)
-        rex = ReverseExecutor(region)
-        for i in range(5):
-            proc.write(va, i + 1)
-        state = rex.step_back(2)
-        assert int.from_bytes(state[0:4], "little") == 3
-        state = rex.step_forward(1)
-        assert int.from_bytes(state[0:4], "little") == 4
-        assert rex.position == 4
-
-    def test_step_back_clamps_at_zero(self, machine, proc):
-        region, va = make_target(machine, proc)
-        rex = ReverseExecutor(region)
-        proc.write(va, 1)
-        state = rex.step_back(10)
-        assert rex.position == 0
-        assert state[:4] == bytes(4)
 
     def test_when_written(self, machine, proc):
         region, va = make_target(machine, proc)
-        rex = ReverseExecutor(region)
+        engine = ReplayEngine(region)
         proc.write(va, 1)
         proc.write(va + 8, 2)
         proc.write(va, 3)
-        hits = rex.when_written(va)
+        hits = engine.writes_to(va)
         assert [pos for pos, _ in hits] == [1, 3]
         assert [r.value for _, r in hits] == [1, 3]
 
     def test_checkpoint_preserves_pre_attach_state(self, machine, proc):
         region, va = make_target(machine, proc)
         proc.write(va, 0xAA)  # before the debugger attaches
-        rex = ReverseExecutor(region)
+        engine = ReplayEngine(region)
         proc.write(va, 0xBB)
-        assert int.from_bytes(rex.state_at(0)[0:4], "little") == 0xAA
+        assert int.from_bytes(engine.state_at(0)[0:4], "little") == 0xAA
 
     def test_history_quiesces_every_cpu(self, machine, proc):
         # Regression: history() used to sync only CPU 0.  Reading the
         # log is then unordered with the other CPUs' writes — the
         # cycle-domain race the sanitizer exists to catch — whereas a
         # whole-machine quiesce is a global barrier.
-        from repro.core.process import Process
-        from repro.sanitize import race
-
         region, va = make_target(machine, proc)
-        rex = ReverseExecutor(region)
+        engine = ReplayEngine(region)
         other = Process(machine, cpu_index=1, address_space=proc.address_space())
         proc.write(va, 0x11)
         machine.quiesce()  # order CPU 0's write before CPU 1's
@@ -150,25 +132,25 @@ class TestReverseExecutor:
         race.install(detector)
         try:
             other.write(va, 0x22)
-            assert len(rex) == 2  # CPU 1's write is visible
+            assert len(engine) == 2  # CPU 1's write is visible
             proc.write(va, 0x33)  # CPU 0 writes after reading history
         finally:
             race.uninstall()
         # history()'s quiesce ordered CPU 1's write before CPU 0's next
         # one; with the old sync(cpu(0)) these two writes race.
         assert detector.races_seen == 0
-        assert int.from_bytes(rex.state_at(3)[0:4], "little") == 0x33
+        assert int.from_bytes(engine.state_at(3)[0:4], "little") == 0x33
 
     def test_seek_uses_checkpoints_near_the_tip(self, machine, proc):
         region, va = make_target(machine, proc)
-        rex = ReverseExecutor(region, checkpoint_interval=8)
+        engine = ReplayEngine(region, checkpoint_interval=8)
         for i in range(40):
             proc.write(va + 4 * (i % 16), i)
-        rex.seek(39)
+        engine.state_at(39)
         # A near-tip seek replays only the gap past the last checkpoint,
         # never the whole 40-write history.
-        assert rex.engine.stats.records_replayed < 8
-        assert rex.engine.stats.checkpoints_captured == 4
+        assert engine.stats.records_replayed < 8
+        assert engine.stats.checkpoints_captured == 4
 
 
 class TestTraceAndAnalysis:
@@ -214,29 +196,19 @@ class TestTraceAndAnalysis:
             proc.write(va, v)  # 9 writes, 1 location
         proc.write(va + 4, 1)
         machine.quiesce()
-        report = analyse(log)
+        (report,) = fold_records(log.records(), RedundancyFold())
         assert report.total_writes == 10
         assert report.unique_locations == 2
         assert report.redundant_writes == 8
-        assert report.hot_locations[0][1] == 9
+        assert report.hot_locations()[0][1] == 9
         assert report.compression_ratio == 5.0
-
-    def test_last_write_only(self, machine, proc):
-        region, log, va = self._logged_region(machine, proc)
-        for v in range(5):
-            proc.write(va, v)
-        proc.write(va + 4, 99)
-        machine.quiesce()
-        collapsed = last_write_only(list(log.records()))
-        assert len(collapsed) == 2
-        assert sorted(r.value for r in collapsed) == [4, 99]
 
     def test_log_stats(self, machine, proc):
         region, log, va = self._logged_region(machine, proc)
         for i in range(20):
             proc.write(va + 64 * i, i)
         machine.quiesce()
-        stats = compute_stats(log)
+        (stats,) = fold_records(log.records(), StatsFold())
         assert stats.record_count == 20
         assert stats.bytes_logged == 320
         assert stats.data_bytes_written == 80
@@ -244,8 +216,36 @@ class TestTraceAndAnalysis:
         assert stats.log_expansion == 4.0
 
     def test_empty_log_stats(self, machine):
-        from repro.analysis import compute_stats
-
-        stats = compute_stats([])
+        stats = StatsFold()
         assert stats.record_count == 0
         assert stats.writes_per_1k_timestamps == 0.0
+
+
+@pytest.mark.parametrize(
+    "attach",
+    [
+        lambda region: lambda: extract_trace(region.log_segment),
+        lambda region: WriteMonitor(region, consume=False).poll,
+        lambda region: LogFollower(RegionLogView(region)).synchronize,
+    ],
+    ids=["extract_trace", "WriteMonitor.poll", "LogFollower.synchronize"],
+)
+def test_log_read_quiesces_every_cpu(machine, proc, attach):
+    # Regression: these readers used to sync only CPU 0, leaving CPU 1's
+    # write unordered with CPU 0's next one — the cycle-domain race the
+    # sanitizer exists to catch.  A whole-machine quiesce is a global
+    # barrier, as in ReplayEngine.history().
+    region, va = make_target(machine, proc, logged=True)
+    read_log = attach(region)
+    other = Process(machine, cpu_index=1, address_space=proc.address_space())
+    proc.write(va, 0x11)
+    machine.quiesce()  # order CPU 0's write before CPU 1's
+    detector = race.LogRaceDetector()
+    race.install(detector)
+    try:
+        other.write(va, 0x22)
+        read_log()
+        proc.write(va, 0x33)  # CPU 0 writes after reading the log
+    finally:
+        race.uninstall()
+    assert detector.races_seen == 0

@@ -4,7 +4,7 @@ The acceptance criteria of the observability layer live here:
 
 * tracing falls back to the generic paths, metrics-only does not;
 * the trace's cycle domain reconciles with ``Clock.now``;
-* the metrics counters reconcile with :mod:`repro.analysis.logstats`;
+* the metrics counters reconcile with :class:`repro.analytics.core.StatsFold`;
 * a :class:`CrashPoint` carries the metrics snapshot at the crash cycle.
 """
 
@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.analysis.logstats import compute_stats
+from repro.analytics.core import StatsFold, fold_records
 from repro.faults.plan import CrashPoint, FaultPlan, install as install_plan
 from repro.obs.cli import main as cli_main, run_traced
 from repro.obs.core import Observability, installed
@@ -68,7 +68,7 @@ class TestTraceReconciliation:
     def test_counters_reconcile_with_logstats(self):
         obs, summary = run_traced("copy", with_tracer=False, with_profiler=False)
         machine = summary["machine"]
-        stats = compute_stats(summary["log"])
+        (stats,) = fold_records(summary["log"].records(), StatsFold())
         snap = snapshot_machine(machine, obs)
         assert snap["gauges"]["hw.logger.records_logged"] == stats.record_count
         assert summary["records_logged"] == stats.record_count

@@ -1,11 +1,9 @@
-"""Remaining odds and ends: package demo, small analysis helpers, docs."""
+"""Remaining odds and ends: package demo, small helpers, docs."""
 
 import pathlib
 
 import pytest
 
-from conftest import make_logged_region
-from repro.analysis import inter_write_gaps
 from repro.core.context import set_current_machine
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -31,18 +29,6 @@ class TestPackageDemo:
 
 
 class TestSmallHelpers:
-    def test_inter_write_gaps(self, machine, proc):
-        region, log, va = make_logged_region(machine)
-        proc.write(va, 1)
-        proc.compute(400)
-        proc.write(va + 4, 2)
-        proc.compute(40)
-        proc.write(va + 8, 3)
-        machine.quiesce()
-        gaps = inter_write_gaps(list(log.records()))
-        assert len(gaps) == 2
-        assert gaps[0] > gaps[1] > 0
-
     def test_indexed_log_with_values_sizes(self, machine, proc):
         from repro.core.log_segment import LogSegment
         from repro.core.region import StdRegion
