@@ -1,7 +1,7 @@
 """Deep linter: whole-repo analysis cost and the 30-second budget.
 
 Not a figure from the paper — this guards the *developer loop*: the
-``--deep`` interprocedural pass (project index, call graph, LVM101-104
+``--deep`` interprocedural pass (project index, call graph, LVM101
 abstract interpretation) runs on every commit, so its full-repo wall
 time is a budgeted resource.  The bench times each phase separately
 over ``src/repro``, asserts the repo is clean (a dirty tree would make
@@ -17,7 +17,7 @@ import time
 import pytest
 
 from conftest import print_header, write_bench_json
-from repro.sanitize.deep import durability, reach, spans, units
+from repro.sanitize.deep import durability
 from repro.sanitize.deep.callgraph import CallGraph
 from repro.sanitize.deep.project import Project
 from repro.sanitize.deep.runner import run_deep
@@ -41,20 +41,15 @@ def test_deep_lint_full_repo_under_budget(benchmark):
         graph = CallGraph(project)
         phases["index_and_callgraph"] = time.perf_counter() - t0
 
-        per_rule = {}
-        for name, check in (
-            ("lvm101_durability", lambda: durability.check(project, graph)),
-            ("lvm102_units", lambda: units.check(project, graph)),
-            ("lvm103_spans", lambda: spans.check(project)),
-        ):
-            t0 = time.perf_counter()
-            findings, facts = check()
-            per_rule[name] = {
+        t0 = time.perf_counter()
+        findings, facts = durability.check(project, graph)
+        phases["rules"] = {
+            "lvm101_durability": {
                 "secs": time.perf_counter() - t0,
                 "findings": len(findings),
                 "facts": len(facts),
             }
-        phases["rules"] = per_rule
+        }
 
         # End-to-end, exactly as CI invokes it (flat rules included).
         t0 = time.perf_counter()

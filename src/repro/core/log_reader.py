@@ -120,11 +120,9 @@ class LogFollower:
             # The producer truncated past our cursor (records we already
             # consumed), which is fine; resume at the truncation point.
             self._cursor = log.start_offset
-        out = []
-        for offset, record in log.records_with_offsets():
-            if offset < self._cursor:
-                continue
-            out.append(record)
+        # A cursor past the tail (the producer rewound below it) reads
+        # nothing and re-anchors at the new tail.
+        out = [record for _, record in log.records_with_offsets(start=self._cursor)]
         self._cursor = log.append_offset
         self.records_seen += len(out)
         return out

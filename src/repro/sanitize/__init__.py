@@ -4,20 +4,20 @@ Two tools over one idea — the repro's headline claims rest on
 invariants that should be machine-checked, not re-discovered per PR:
 
 * :mod:`repro.sanitize.engine` / :mod:`repro.sanitize.rules` — an
-  AST-based lint framework (``python -m repro lint``) whose rule
-  plugins enforce repo-specific invariants: no wall-clock or unseeded
-  randomness in cycle-domain modules, integer-only cycle arithmetic,
-  the single-check pattern on the two instrumentation gates, fault-site
-  literals resolving against the generated registry
-  (:mod:`repro.faults.sites`), and a reachable generic fallback for
-  every fused fast path.  Per-rule suppression:
-  ``# lvm-san: ignore[LVM003]``.
+  AST-based lint framework (``python -m repro lint``) for what no test
+  run can see: no wall-clock reads (LVM001) or unseeded randomness
+  (LVM002) in cycle-domain modules, fault-site literals resolving
+  against the generated registry :mod:`repro.faults.sites` (LVM005),
+  and no dead suppression comments (LVM007).  ``lint --deep`` adds
+  the interprocedural durability-ordering proof (LVM101).  Per-rule
+  suppression: ``# lvm-san: ignore[LVM001]``.
 * :mod:`repro.sanitize.race` — a TSan-style vector-clock
   happens-before detector for unsynchronized same-page logged writes
   from different CPUs (``python -m repro race <workload>``), which
-  would make bus/log-record order nondeterministic.  It subscribes to
-  the :mod:`repro.probe` spine, so the disabled cost is the spine's
-  one ``is None`` check.
+  would make bus/log-record order nondeterministic.  It also checks
+  that every probe-spine ``stage_open`` meets its ``stage_close``.
+  It subscribes to the :mod:`repro.probe` spine, so the disabled cost
+  is the spine's one ``is None`` check.
 
 This ``__init__`` is deliberately lazy: nothing here may drag the
 simulator (or the linter) into the import graph of whoever imports

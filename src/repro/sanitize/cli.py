@@ -3,7 +3,8 @@
 ``lint`` runs the rule plugins over a source tree (default: the
 installed ``repro`` package) and exits 1 on findings; ``race`` replays
 canned :mod:`repro.obs.workloads` under the log-race detector and
-exits 1 if any unsynchronized cross-CPU same-page write is observed.
+exits 1 if any unsynchronized cross-CPU same-page write is observed
+or any probe stage is left open.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
         "--deep",
         action="store_true",
         help=(
-            "also run the interprocedural analyses (LVM101-104: durability "
-            "ordering, cycle-domain units, span balance, site reachability) "
-            "and the LVM007 dead-suppression check"
+            "also run the interprocedural durability-ordering analysis "
+            "(LVM101) and the LVM007 dead-suppression check"
         ),
     )
     parser.add_argument(
@@ -65,21 +65,6 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         metavar="FILE",
         help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            "deep-lint baseline to subtract (default: .lvm-deep-baseline.json "
-            "found upward from the cwd); stale entries fail the run"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from current --deep findings, then exit",
     )
     parser.add_argument(
         "--facts",
@@ -98,8 +83,6 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.format != "text" and not args.deep:
         parser.error(f"--format {args.format} requires --deep")
-    if args.write_baseline and not args.deep:
-        parser.error("--write-baseline requires --deep")
     if args.regen_sites:
         from repro.sanitize import sitegen
 
@@ -124,7 +107,7 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"no such path: {path}")
 
     if args.deep:
-        return _deep_lint(parser, args, paths, rules)
+        return _deep_lint(args, paths, rules)
 
     findings = engine.lint_paths(paths, rules)
     for finding in findings:
@@ -136,31 +119,17 @@ def lint_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _deep_lint(
-    parser: argparse.ArgumentParser,
     args: argparse.Namespace,
     paths: List[Path],
     rules: Sequence[engine.Rule],
 ) -> int:
-    from repro.sanitize.deep import baseline as baseline_mod
     from repro.sanitize.deep import report as report_mod
     from repro.sanitize.deep.runner import run_deep
 
     # Dead-suppression checking is only sound over the full rule set.
     full_set = args.select is None
     result = run_deep(paths, rules=rules, check_suppressions=full_set)
-
-    if args.write_baseline:
-        target = args.baseline or baseline_mod.default_path()
-        baseline_mod.write(target, result.findings)
-        print(f"wrote {target} ({len(result.findings)} entr(y|ies))")
-        return 0
-
-    baseline_path = args.baseline or baseline_mod.default_path()
-    try:
-        entries = baseline_mod.load(baseline_path)
-    except baseline_mod.BaselineError as exc:
-        parser.error(str(exc))
-    findings, stale = baseline_mod.apply(result.findings, entries)
+    findings = result.findings
 
     if args.format == "json":
         text = report_mod.to_json(findings, result.facts)
@@ -177,26 +146,15 @@ def _deep_lint(
     else:
         sys.stdout.write(text)
 
-    status = 0
     if findings:
         print(f"lvm-san: {len(findings)} finding(s)", file=sys.stderr)
-        status = 1
-    if stale:
-        for entry in stale:
-            print(
-                f"lvm-san: stale baseline entry {entry.rule_id} {entry.path!r} "
-                f"({entry.contains[:60]!r}) matches no finding — baseline "
-                "drift; fix or regenerate with --write-baseline",
-                file=sys.stderr,
-            )
-        status = 1
-    if status == 0:
-        print(
-            f"lvm-san --deep: clean ({result.files} files, "
-            f"{result.functions} functions, {len(result.facts)} facts proved)",
-            file=sys.stderr,
-        )
-    return status
+        return 1
+    print(
+        f"lvm-san --deep: clean ({result.files} files, "
+        f"{result.functions} functions, {len(result.facts)} facts proved)",
+        file=sys.stderr,
+    )
+    return 0
 
 
 def race_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -221,6 +179,6 @@ def race_main(argv: Optional[Sequence[str]] = None) -> int:
         with race.installed(detector):
             run_workload(name)
         print(f"{name}: {detector.summary()}")
-        if detector.races_seen:
+        if detector.races_seen or detector.open_stages:
             failures += 1
     return 1 if failures else 0

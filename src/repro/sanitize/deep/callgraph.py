@@ -13,16 +13,16 @@ Resolution is tiered, strongest evidence first:
    *unknown* and analyses must treat the call as a no-op rather than
    guess.
 
-Tarjan's SCC condensation orders the graph so bottom-up summary
-passes visit callees before callers (cycles collapse to one
-component, iterated to a fixpoint by the analysis driver).
+Recursion is left to the summary solver
+(:mod:`repro.sanitize.deep.absint`), which iterates cyclic lookups to
+a fixpoint.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sanitize.deep.project import FunctionInfo, Project
 
@@ -55,10 +55,6 @@ class CallSite:
     #: receiver expression source-ish description ("self.disk", "wal", …)
     receiver: Optional[str]
 
-    @property
-    def line(self) -> int:
-        return self.call.lineno
-
 
 def _receiver_repr(expr: ast.expr) -> Optional[str]:
     if isinstance(expr, ast.Name):
@@ -70,7 +66,7 @@ def _receiver_repr(expr: ast.expr) -> Optional[str]:
 
 
 class CallGraph:
-    """Call sites + qualname edges + SCC condensation for a project."""
+    """Call sites + qualname edges for a project."""
 
     def __init__(self, project: Project) -> None:
         self.project = project
@@ -81,11 +77,6 @@ class CallGraph:
         self._aliases: Dict[str, Dict[str, str]] = {}
         for info in project.iter_functions():
             self._index_function(info)
-        self.sccs = self._tarjan()
-        self.scc_of: Dict[str, int] = {}
-        for i, scc in enumerate(self.sccs):
-            for qualname in scc:
-                self.scc_of[qualname] = i
 
     # ------------------------------------------------------------------
     # Resolution
@@ -204,87 +195,3 @@ class CallGraph:
         # Fallback: every method of that name, if few enough to be useful.
         hits = project.methods_named(method)
         return hits if 0 < len(hits) <= MAX_FALLBACK else []
-
-    # ------------------------------------------------------------------
-    # SCC condensation (Tarjan, iterative)
-    # ------------------------------------------------------------------
-    def _tarjan(self) -> List[List[str]]:
-        """SCCs in reverse topological order: callees before callers."""
-        index: Dict[str, int] = {}
-        lowlink: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        sccs: List[List[str]] = []
-        counter = [0]
-
-        def strongconnect(root: str) -> None:
-            work: List[Tuple[str, int]] = [(root, 0)]
-            while work:
-                node, pi = work.pop()
-                if pi == 0:
-                    index[node] = lowlink[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                recurse = False
-                succs = sorted(self.edges.get(node, ()))
-                for i in range(pi, len(succs)):
-                    succ = succs[i]
-                    if succ not in self.edges:
-                        continue  # callee outside the analysed set
-                    if succ not in index:
-                        work.append((node, i + 1))
-                        work.append((succ, 0))
-                        recurse = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index[succ])
-                if recurse:
-                    continue
-                if lowlink[node] == index[node]:
-                    scc = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        scc.append(member)
-                        if member == node:
-                            break
-                    sccs.append(sorted(scc))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-        for qualname in sorted(self.edges):
-            if qualname not in index:
-                strongconnect(qualname)
-        return sccs
-
-    def bottom_up(self) -> List[List[str]]:
-        """SCCs ordered callees-first (Tarjan emits them that way)."""
-        return self.sccs
-
-    def callers_of(self, qualname: str) -> List[str]:
-        return sorted(
-            caller for caller, callees in self.edges.items() if qualname in callees
-        )
-
-
-@dataclass
-class Reachability:
-    """Transitive closure from a root set over the call graph."""
-
-    reachable: Set[str] = field(default_factory=set)
-
-
-def reachable_from(graph: CallGraph, roots: Sequence[str]) -> Set[str]:
-    seen: Set[str] = set()
-    frontier = [r for r in roots if r in graph.edges]
-    while frontier:
-        current = frontier.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        frontier.extend(
-            callee for callee in graph.edges.get(current, ()) if callee not in seen
-        )
-    return seen

@@ -20,7 +20,7 @@ Exception modelling:
 * ``with`` / ``async with`` context managers are assumed not to
   swallow exceptions (none in this codebase do).
 
-This is the substrate LVM101/LVM103 interpret; it has no opinions of
+This is the substrate LVM101 interprets; it has no opinions of
 its own beyond reachability.
 """
 
@@ -366,40 +366,3 @@ def build_cfg(func: FuncNode) -> CFG:
     _Builder(cfg).build()
     return cfg
 
-
-def fixpoint(
-    cfg: CFG,
-    init: object,
-    bottom: object,
-    transfer,
-    join,
-) -> Dict[int, object]:
-    """Forward dataflow fixpoint over ``cfg``.
-
-    ``transfer(node, state) -> state`` is applied to a node's *in*
-    state to produce the state its successors observe; ``join(a, b)``
-    merges states at joins.  Returns the in-state of every node; the
-    state observed at ``cfg.exit`` / ``cfg.raise_exit`` is their
-    in-state.  ``EXC`` successors observe the node's *in* state (the
-    exception may fire before the statement's effect), joined with its
-    out state (or after it) — both orders are covered.
-    """
-    states: Dict[int, object] = {nid: bottom for nid in cfg.nodes}
-    states[cfg.entry.nid] = init
-    worklist = [cfg.entry.nid]
-    while worklist:
-        nid = worklist.pop()
-        node = cfg.nodes[nid]
-        in_state = states[nid]
-        if in_state is bottom and node.kind != "entry":
-            continue
-        out_state = transfer(node, in_state)
-        for succ_id, kind in node.succs:
-            if kind == EXC:
-                new = join(join(states[succ_id], in_state), out_state)
-            else:
-                new = join(states[succ_id], out_state)
-            if new != states[succ_id]:
-                states[succ_id] = new
-                worklist.append(succ_id)
-    return states

@@ -46,14 +46,6 @@ class FunctionInfo:
     defaults: Dict[str, object] = field(default_factory=dict)
 
     @property
-    def is_public(self) -> bool:
-        if self.name.startswith("_") and not self.name.startswith("__"):
-            return False
-        if self.class_name is not None and self.class_name.startswith("_"):
-            return False
-        return True
-
-    @property
     def line(self) -> int:
         return self.node.lineno
 

@@ -24,9 +24,6 @@ REPORT_VERSION = 1
 #: Short descriptions for the deep rules (SARIF driver metadata).
 RULE_TITLES: Dict[str, str] = {
     "LVM101": "durability ordering: flush+barrier must dominate every ack",
-    "LVM102": "cycle-domain units: cycle counts must not mix with wall/bytes",
-    "LVM103": "stage balance and gate purity on all paths",
-    "LVM104": "registered fault sites must be reachable from a public root",
     DEAD_SUPPRESSION_ID: DEAD_SUPPRESSION_TITLE,
 }
 

@@ -1,22 +1,18 @@
 """Orchestrator for ``python -m repro lint --deep``.
 
-One pass builds everything the rule families share — parsed
+One pass builds what the rules share — parsed
 :class:`FileContext`\\ s, the :class:`Project` index, the call graph —
-then runs the flat single-file rules *and* the four interprocedural
-families over it:
-
-* LVM101 durability ordering (:mod:`repro.sanitize.deep.durability`)
-* LVM102 cycle-domain units  (:mod:`repro.sanitize.deep.units`)
-* LVM103 span/gate balance   (:mod:`repro.sanitize.deep.spans`)
-* LVM104 site reachability   (:mod:`repro.sanitize.deep.reach`)
+then runs the flat single-file rules *and* the interprocedural
+LVM101 durability-ordering analysis
+(:mod:`repro.sanitize.deep.durability`) over it.
 
 Deep findings respect the same per-line ``# lvm-san: ignore[...]``
 comments as the flat rules, and the dead-suppression check (LVM007)
 runs *after* deep filtering so a suppression that only matches a deep
 diagnostic still counts as live.  Alongside findings the deep rules
 emit *facts* — positive statements they proved ("this ack is
-flush-dominated", "this site is reachable") — which the CLI can print
-and tests assert on: a clean run should be clean because the
+flush-dominated", "this flush body never exits dirty") — which the CLI
+can print and tests assert on: a clean run should be clean because the
 obligations were discharged, not because nothing was checked.
 """
 
@@ -28,12 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sanitize import engine
 from repro.sanitize.engine import FileContext, Finding, Rule
-from repro.sanitize.deep import durability, reach, spans, units
+from repro.sanitize.deep import durability
 from repro.sanitize.deep.callgraph import CallGraph
 from repro.sanitize.deep.project import Project
-
-#: Registry module the LVM104 check reads its site list from.
-_REGISTRY_MODULE = "repro/faults/sites.py"
 
 
 @dataclass
@@ -81,7 +74,7 @@ def run_deep(
     rules: Optional[Sequence[Rule]] = None,
     check_suppressions: bool = True,
 ) -> DeepResult:
-    """Run flat rules + the deep rule families over ``paths``.
+    """Run flat rules + the deep LVM101 analysis over ``paths``.
 
     ``rules`` defaults to the full flat rule set; pass an explicit
     (possibly empty) sequence to restrict it.  ``check_suppressions``
@@ -98,25 +91,15 @@ def run_deep(
 
     # Flat single-file rules over the shared contexts.
     for ctx in contexts:
-        for rule in rules:
-            for finding in rule.check(ctx):
-                if not ctx.suppressed(finding):
-                    result.findings.append(finding)
+        result.findings.extend(engine.run_rules(ctx, rules))
 
     # Whole-program model.
     project = Project.from_contexts(contexts)
     graph = CallGraph(project)
     result.functions = len(project.functions)
 
-    deep_findings: List[Finding] = []
-    for finding_list, facts in (
-        durability.check(project, graph),
-        units.check(project, graph),
-        spans.check(project),
-        _reach_check(project, graph, contexts),
-    ):
-        deep_findings.extend(finding_list)
-        result.facts.extend(facts)
+    deep_findings, facts = durability.check(project, graph)
+    result.facts.extend(facts)
 
     # Deep findings honour the same suppression comments; route them
     # through the owning context so LVM007 sees the usage.
@@ -135,18 +118,3 @@ def run_deep(
     result.facts.sort()
     return result
 
-
-def _reach_check(
-    project: Project, graph: CallGraph, contexts: Sequence[FileContext]
-) -> Tuple[List[Finding], List[str]]:
-    """LVM104 against the *committed* registry, when it is in the tree."""
-    from repro.sanitize.sitegen import registered_sites
-
-    for ctx in contexts:
-        if ctx.module_path == _REGISTRY_MODULE:
-            registered = registered_sites(ctx.tree)
-            if registered is not None:
-                return reach.check(project, graph, registered)
-    # Registry not under the linted paths (e.g. linting one file):
-    # nothing registered to verify.
-    return [], []

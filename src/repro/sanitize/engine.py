@@ -8,8 +8,8 @@ CLI front end (:mod:`repro.sanitize.cli`).
 
 Suppression is per line and per rule::
 
-    t_ms = cycles / freq_mhz  # lvm-san: ignore[LVM003]
-    anything_goes_here()      # lvm-san: ignore
+    started = time.time()  # lvm-san: ignore[LVM001]
+    anything_goes_here()   # lvm-san: ignore
 
 A bare ``ignore`` silences every rule on that line; ``ignore[...]``
 takes a comma-separated rule-id list.  Suppressions are extracted with

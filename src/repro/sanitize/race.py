@@ -22,6 +22,12 @@ per byte):
   send/receive is a release/acquire pair, and a global quiesce (or
   ``suspend_all_until``) joins every clock.
 
+The detector also checks stage balance: every probe ``stage_open``
+must meet its ``stage_close`` on the same CPU.  Stages still open when
+the run ends are a leak (an early return that skipped the close), left
+in :attr:`LogRaceDetector.open_stages`; a ``fault_crash`` clears them,
+because a CrashPoint leaves its stages open on purpose.
+
 The detector is a :mod:`repro.probe` subscriber (kind ``race``): the
 bus, the bulk engine, the machine and the Time Warp kernel emit
 ``bus_write``/``logged_run``/``global_sync``/``msg_send``/``msg_recv``
@@ -95,6 +101,8 @@ class LogRaceDetector:
         #: total race pairs seen, including ones dropped past max_reports
         self.races_seen = 0
         self.writes_checked = 0
+        #: (site, cpu) -> stages opened there and not yet closed
+        self.open_stages: Dict[Tuple[str, int], int] = {}
 
     def _clock(self, cpu: int) -> VectorClock:
         clock = self._clocks.get(cpu)
@@ -112,7 +120,22 @@ class LogRaceDetector:
             "global_sync": self.global_sync,
             "msg_send": self.msg_send,
             "msg_recv": self.msg_recv,
+            "stage_open": self._stage_open,
+            "stage_close": self._stage_close,
+            "fault_crash": lambda site, n: self.open_stages.clear(),
         }
+
+    def _stage_open(self, site: str, start: int, cpu: int) -> None:
+        key = (site, cpu)
+        self.open_stages[key] = self.open_stages.get(key, 0) + 1
+
+    def _stage_close(self, site: str, start: int, now: int, cpu: int, *_) -> None:
+        key = (site, cpu)
+        depth = self.open_stages.get(key, 0) - 1
+        if depth:
+            self.open_stages[key] = depth  # negative: closed, never opened
+        else:
+            del self.open_stages[key]
 
     def _bus_write(self, complete: int, write) -> None:
         if write.log_tag is not None:
@@ -180,6 +203,10 @@ class LogRaceDetector:
         lines = [head] + [f"  {report}" for report in self.reports]
         if self.races_seen > len(self.reports):
             lines.append(f"  ... {self.races_seen - len(self.reports)} more")
+        lines += [
+            f"  unbalanced stage {site} on cpu{cpu}: {depth:+d} open"
+            for (site, cpu), depth in sorted(self.open_stages.items())
+        ]
         return "\n".join(lines)
 
 

@@ -5,16 +5,14 @@ Each rule states one invariant the simulator's claims depend on:
 ========  ==========================================================
 LVM001    no wall-clock reads in cycle-domain modules
 LVM002    no unseeded randomness in cycle-domain modules
-LVM003    cycle bindings stay integers (no float contamination)
-LVM004    the two instrumentation gates (the probe spine's and the
-          fault plan's ``_ACTIVE``) are a single ``is``/``is not
-          None`` check
 LVM005    fault-site strings resolve against ``repro.faults.sites``
-LVM006    every fused ``*_fast`` path falls back on the one condition:
-          fault plan installed or spine ``detail`` set
 ========  ==========================================================
 
-``LVM000`` is reserved for parse errors (emitted by the engine).
+``LVM000`` is reserved for parse errors (emitted by the engine);
+``LVM007`` (dead suppressions) is the engine's own check.  The ids
+LVM003/004/006 are retired: integer cycles, the gate pattern and the
+fused-path fallback are held by tests that run the code (the golden
+cycle table, the probe exactness matrix, the crash sweep).
 Rules are pure AST walks — no imports of the simulator — so the linter
 can run on a broken tree without executing it.
 """
@@ -22,7 +20,6 @@ can run on a broken tree without executing it.
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from repro.sanitize.engine import FileContext, Finding, Rule
@@ -55,14 +52,6 @@ def _resolve(node: ast.expr, aliases: Dict[str, str]) -> Optional[str]:
         return None
     parts.append(aliases.get(node.id, node.id))
     return ".".join(reversed(parts))
-
-
-def _parent_map(tree: ast.Module) -> Dict[ast.AST, ast.AST]:
-    parents: Dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-    return parents
 
 
 # ----------------------------------------------------------------------
@@ -173,208 +162,6 @@ class NoUnseededRandomnessRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# LVM003 — integer cycle arithmetic
-
-
-_CYCLE_NAME = re.compile(r"(?:^|_)cycles?$")
-#: ``records_per_cycle`` and friends are rates, not cycle counts.
-_RATE_NAME = re.compile(r"(?:^|_)per_cycles?$")
-
-
-def _is_cycle_count(name: str) -> bool:
-    return bool(_CYCLE_NAME.search(name)) and not _RATE_NAME.search(name)
-
-
-def _cycle_named(target: ast.expr) -> bool:
-    if isinstance(target, ast.Name):
-        return _is_cycle_count(target.id)
-    if isinstance(target, ast.Attribute):
-        return _is_cycle_count(target.attr)
-    if isinstance(target, (ast.Tuple, ast.List)):
-        return any(_cycle_named(elt) for elt in target.elts)
-    return False
-
-
-def _float_taint(value: ast.expr) -> Optional[str]:
-    for sub in ast.walk(value):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, float):
-            return "a float literal"
-        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div):
-            return "true division (use //)"
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id == "float"
-        ):
-            return "a float() conversion"
-    return None
-
-
-class IntegerCyclesRule(Rule):
-    rule_id = "LVM003"
-    title = "cycle bindings stay integers"
-    rationale = (
-        "Cycle counts are exact integers end to end; a float creeping "
-        "into a cycle/cycles binding silently breaks record ordering "
-        "and replay equality.  Reporting code that genuinely wants a "
-        "ratio should bind a non-cycle name or suppress with "
-        "# lvm-san: ignore[LVM003]."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_cycle_domain:
-            return
-        for node in ast.walk(ctx.tree):
-            taint = None
-            if isinstance(node, ast.Assign):
-                if any(_cycle_named(t) for t in node.targets):
-                    taint = _float_taint(node.value)
-            elif isinstance(node, ast.AugAssign):
-                if _cycle_named(node.target):
-                    if isinstance(node.op, ast.Div):
-                        taint = "true division (use //=)"
-                    else:
-                        taint = _float_taint(node.value)
-            elif isinstance(node, ast.AnnAssign):
-                if _cycle_named(node.target):
-                    ann = node.annotation
-                    if isinstance(ann, ast.Name) and ann.id == "float":
-                        taint = "a float annotation"
-                    elif node.value is not None:
-                        taint = _float_taint(node.value)
-            if taint is not None:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"cycle binding assigned from {taint}; cycle arithmetic "
-                    "must stay integral",
-                )
-
-
-# ----------------------------------------------------------------------
-# LVM004 — instrumentation gate pattern
-
-
-def _is_none(node: ast.expr) -> bool:
-    return isinstance(node, ast.Constant) and node.value is None
-
-
-#: The only two instrumentation gates.
-SPINE_GATE = "repro.probe._ACTIVE"
-FAULT_GATE = "repro.faults.plan._ACTIVE"
-
-
-def _gate_ref(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Unparsed source of a gate ref (``probe._ACTIVE``,
-    ``faultplan._ACTIVE``, or a bare ``_ACTIVE`` in a defining module),
-    else None."""
-    if isinstance(node, ast.Name) and node.id == "_ACTIVE":
-        return "_ACTIVE"
-    if (
-        isinstance(node, ast.Attribute)
-        and node.attr == "_ACTIVE"
-        and _resolve(node, aliases) in (SPINE_GATE, FAULT_GATE)
-    ):
-        return ast.unparse(node)
-    return None
-
-
-class GatePatternRule(Rule):
-    rule_id = "LVM004"
-    title = "the spine and fault-plan gates are a single `is None` check"
-    rationale = (
-        "The two instrumentation gates (repro.probe._ACTIVE and "
-        "faults.plan._ACTIVE) guard hot paths with exactly one "
-        "`is None` identity check.  Truthiness tests or == None change "
-        "semantics for falsy objects, and member access outside an "
-        "`is not None` guard defeats the single-check discipline."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        parents = _parent_map(ctx.tree)
-        aliases = _collect_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            ref = _gate_ref(node, aliases)
-            if ref is None:
-                continue
-            parent = parents.get(node)
-            # `mod._ACTIVE` contains the inner Name `mod`; skip the
-            # Name when its parent is the Attribute we already handle.
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(parent, ast.Attribute)
-                and parent.attr == "_ACTIVE"
-            ):
-                continue
-            finding = self._classify(ctx, node, ref, parent, parents)
-            if finding is not None:
-                yield finding
-
-    def _classify(
-        self,
-        ctx: FileContext,
-        node: ast.AST,
-        ref: str,
-        parent: Optional[ast.AST],
-        parents: Dict[ast.AST, ast.AST],
-    ) -> Optional[Finding]:
-        if isinstance(parent, ast.Compare):
-            if parent.left is node or node in parent.comparators:
-                op = parent.ops[0] if parent.ops else None
-                other = parent.comparators[0] if parent.left is node else parent.left
-                if isinstance(op, (ast.Eq, ast.NotEq)) and _is_none(other):
-                    return self.finding(
-                        ctx,
-                        parent,
-                        f"compare {ref} with `is None` / `is not None`, "
-                        "not equality",
-                    )
-                return None
-        if self._is_truthiness(node, parent):
-            return self.finding(
-                ctx,
-                node,
-                f"truthiness test on {ref}; the gate must be a single "
-                "`is None` identity check",
-            )
-        if isinstance(parent, ast.Attribute) and parent.value is node:
-            if not self._guarded(node, ref, parents):
-                return self.finding(
-                    ctx,
-                    parent,
-                    f"member access on {ref} outside an `if {ref} is not "
-                    "None:` guard; capture it to a local first",
-                )
-        return None
-
-    @staticmethod
-    def _is_truthiness(node: ast.AST, parent: Optional[ast.AST]) -> bool:
-        if isinstance(parent, (ast.If, ast.While)) and parent.test is node:
-            return True
-        if isinstance(parent, ast.UnaryOp) and isinstance(parent.op, ast.Not):
-            return True
-        if isinstance(parent, ast.BoolOp) and node in parent.values:
-            return True
-        if isinstance(parent, ast.IfExp) and parent.test is node:
-            return True
-        if isinstance(parent, ast.Assert) and parent.test is node:
-            return True
-        return False
-
-    @staticmethod
-    def _guarded(node: ast.AST, ref: str, parents: Dict[ast.AST, ast.AST]) -> bool:
-        guard = f"{ref} is not None"
-        current: Optional[ast.AST] = node
-        while current is not None:
-            current = parents.get(current)
-            if isinstance(current, ast.If) and ast.unparse(current.test) == guard:
-                return True
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return False
-        return False
-
-
-# ----------------------------------------------------------------------
 # LVM005 — fault-site registry
 
 
@@ -446,75 +233,6 @@ class FaultSiteRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# LVM006 — fused fast paths keep a generic fallback
-
-
-#: Fused paths whose names do not end in ``_fast`` but are fast paths.
-FUSED_EXTRA = frozenset({"_write_run_bus_logged"})
-
-
-def _has_fallback_guard(func: ast.AST, aliases: Dict[str, str]) -> bool:
-    """An ``if`` testing both halves of the one fallback condition:
-    ``faultplan._ACTIVE is not None or (sp is not None and sp.detail)``."""
-    for sub in ast.walk(func):
-        if not isinstance(sub, ast.If):
-            continue
-        attrs = [n for n in ast.walk(sub.test) if isinstance(n, ast.Attribute)]
-        if any(_resolve(n, aliases) == FAULT_GATE for n in attrs) and any(
-            n.attr == "detail" for n in attrs
-        ):
-            return True
-    return False
-
-
-def _calls_function(func: ast.AST, name: str) -> bool:
-    for sub in ast.walk(func):
-        if isinstance(sub, ast.Call) and _call_name(sub.func) == name:
-            return True
-    return False
-
-
-class FastPathFallbackRule(Rule):
-    rule_id = "LVM006"
-    title = "fused fast paths keep a reachable generic fallback"
-    rationale = (
-        "Fused fast paths (*_fast and friends) skip per-record "
-        "instrumentation, so either the function or every one of its "
-        "same-module callers must test the one fallback condition "
-        "(faultplan._ACTIVE is not None, or the probe spine's detail "
-        "flag) and fall back to the generic path — otherwise fault "
-        "plans and detailed tracing silently miss events."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        aliases = _collect_aliases(ctx.tree)
-        defs = [
-            node
-            for node in ast.walk(ctx.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for func in defs:
-            if not (func.name.endswith("_fast") or func.name in FUSED_EXTRA):
-                continue
-            if _has_fallback_guard(func, aliases):
-                continue
-            callers = [
-                other
-                for other in defs
-                if other is not func and _calls_function(other, func.name)
-            ]
-            if callers and all(_has_fallback_guard(c, aliases) for c in callers):
-                continue
-            yield self.finding(
-                ctx,
-                func,
-                f"fused fast path {func.name}() has no generic-fallback "
-                "guard on faultplan._ACTIVE and the spine's detail flag "
-                "here or in its callers",
-            )
-
-
-# ----------------------------------------------------------------------
 
 
 def all_rules() -> List[Rule]:
@@ -522,10 +240,7 @@ def all_rules() -> List[Rule]:
     return [
         NoWallClockRule(),
         NoUnseededRandomnessRule(),
-        IntegerCyclesRule(),
-        GatePatternRule(),
         FaultSiteRule(),
-        FastPathFallbackRule(),
     ]
 
 

@@ -102,35 +102,6 @@ def sweep_sites(root: Path) -> Dict[str, Tuple[str, ...]]:
     return {site: tuple(sorted(files)) for site, files in sorted(found.items())}
 
 
-def registered_sites(tree: ast.Module) -> Optional[Set[str]]:
-    """Parse the committed registry's ``SITES`` dict literal.
-
-    Returns the registered site names, or None if ``tree`` has no
-    ``SITES = {...}`` module-level assignment (i.e. it is not the
-    registry module).  Used by the deep linter (LVM104) to check the
-    *committed* registry — what the crash sweep actually consumes —
-    rather than a fresh sweep, so stale committed entries are caught.
-    """
-    for node in tree.body:
-        if (
-            isinstance(node, (ast.Assign, ast.AnnAssign))
-            and isinstance(node.value, ast.Dict)
-        ):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            if not (
-                len(targets) == 1
-                and isinstance(targets[0], ast.Name)
-                and targets[0].id == "SITES"
-            ):
-                continue
-            sites: Set[str] = set()
-            for key in node.value.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    sites.add(key.value)
-            return sites
-    return None
-
-
 def render(sites: Dict[str, Tuple[str, ...]]) -> str:
     """Render the registry module text for ``sites``."""
     lines = [_HEADER]

@@ -144,3 +144,18 @@ class TestLogFollower:
         proc.write(va + 4, 2)
         machine.quiesce()
         assert [r.value for r in follower.poll()] == [2]
+
+    def test_poll_after_producer_rewinds_below_cursor(self, machine, proc):
+        region, log, va = make_logged_region(machine)
+        follower = LogFollower(RegionLogView(region))
+        for i in range(3):
+            proc.write(va + 4 * i, i + 1)
+        machine.quiesce()
+        assert [r.value for r in follower.poll()] == [1, 2, 3]
+        log.rewind(log.start_offset + log.record_size)  # roll back two
+        assert follower.poll() == []
+        proc.write(va + 4, 9)
+        machine.quiesce()
+        assert [r.value for r in follower.poll()] == [9]
+        assert follower.backlog_bytes == 0
+        assert follower.records_seen == 4

@@ -2,7 +2,7 @@
 
 The recorder is a bounded deque of cycle-stamped events; the tests pin
 the ring arithmetic (capacity, eviction, ``seen``/``dropped``), the
-LVM004 install gate, and the contract that matters: an injected
+probe-spine install gate, and the contract that matters: an injected
 :class:`CrashPoint` carries the recorder tail, ending in the
 ``fault.crash`` event for the site that fired.
 """

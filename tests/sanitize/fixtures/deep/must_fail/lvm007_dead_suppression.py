@@ -1,3 +1,3 @@
 """Seeded violation: a suppression whose diagnostic no longer fires."""
 
-total = 1 + 1  # lvm-san: ignore[LVM003]
+total = 1 + 1  # lvm-san: ignore[LVM001]

@@ -1,10 +1,9 @@
-"""Exception-edge CFG fixtures and the span-balance verdicts they drive.
+"""Exception-edge CFG fixtures.
 
-The CFG (``repro.sanitize.deep.cfg``) is the substrate every deep rule
-interprets, so its exception modelling is tested twice over: once
-structurally (the edges exist) and once behaviourally (LVM103 reaches
-the right balanced/leaked verdict through try/finally, ``async with``,
-early returns, and exception exits).
+The CFG (``repro.sanitize.deep.cfg``) is the substrate LVM101
+interprets, so its exception modelling is tested structurally here:
+the edges through try/except/finally, early returns and loops exist.
+LVM101's verdicts over those shapes are in ``test_deep_rules.py``.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ import ast
 import textwrap
 
 from repro.sanitize.deep.cfg import EXC, build_cfg, calls_at, eval_exprs
-from repro.sanitize.deep.project import Project
-from repro.sanitize.deep import spans
-from repro.sanitize.engine import make_context
 
 
 def _func(source: str):
@@ -24,13 +20,6 @@ def _func(source: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return node
     raise AssertionError("no function in fixture")
-
-
-def _span_verdicts(source: str, module_path: str = "repro/serve/fix.py"):
-    """Run LVM103 over one in-memory module; (findings, facts)."""
-    ctx = make_context(textwrap.dedent(source), module_path)
-    project = Project.from_contexts([ctx])
-    return spans.check(project)
 
 
 def _reachable(cfg, start_nid: int, kinds=None):
@@ -152,132 +141,3 @@ class TestCfgStructure:
         calls = [c.func.id for c in calls_at(head) if isinstance(c.func, ast.Name)]
         assert calls == ["source"]  # body_call belongs to its own node
         assert eval_exprs(head) == [head.stmt.iter]
-
-
-class TestSpanBalanceVerdicts:
-    def test_try_finally_span_is_balanced(self):
-        findings, facts = _span_verdicts(
-            """
-            def handler(sp, req):
-                sp.stage_open("dispatch")
-                try:
-                    return work(req)
-                finally:
-                    sp.stage_close("dispatch")
-            """
-        )
-        assert findings == []
-        assert facts == ["lvm103 span-balanced repro/serve/fix.py::handler"]
-
-    def test_early_return_leaks_span(self):
-        findings, facts = _span_verdicts(
-            """
-            def handler(sp, req):
-                sp.stage_open("dispatch")
-                if req is None:
-                    return None
-                sp.stage_close("dispatch")
-                return req
-            """
-        )
-        assert [f.rule_id for f in findings] == ["LVM103"]
-        assert "delta" in findings[0].message
-        assert facts == []
-
-    def test_exception_exit_is_exempt(self):
-        # An exception abandoning the span is the postmortem's record:
-        # the *normal* path balances, so the function is clean.
-        findings, facts = _span_verdicts(
-            """
-            def handler(sp, req):
-                sp.stage_open("dispatch")
-                result = work(req)
-                sp.stage_close("dispatch")
-                return result
-            """
-        )
-        assert findings == []
-        assert facts == ["lvm103 span-balanced repro/serve/fix.py::handler"]
-
-    def test_caught_exception_resuming_normally_still_balances(self):
-        findings, _ = _span_verdicts(
-            """
-            def handler(sp, req):
-                sp.stage_open("dispatch")
-                try:
-                    work(req)
-                except ValueError:
-                    pass
-                sp.stage_close("dispatch")
-            """
-        )
-        assert findings == []
-
-    def test_async_with_balanced(self):
-        findings, facts = _span_verdicts(
-            """
-            async def handler(sp, lock, req):
-                async with lock:
-                    sp.stage_open("dispatch")
-                    result = await work(req)
-                    sp.stage_close("dispatch")
-                return result
-            """
-        )
-        assert findings == []
-        assert facts == ["lvm103 span-balanced repro/serve/fix.py::handler"]
-
-    def test_async_with_early_return_leaks(self):
-        findings, _ = _span_verdicts(
-            """
-            async def handler(sp, lock, req):
-                async with lock:
-                    sp.stage_open("dispatch")
-                    if req.cached:
-                        return req.value
-                    result = await work(req)
-                    sp.stage_close("dispatch")
-                return result
-            """
-        )
-        assert [f.rule_id for f in findings] == ["LVM103"]
-
-    def test_correlated_gates_do_not_fabricate_paths(self):
-        # wal._append style: open and close separately gated on the
-        # same spine local.  Naive path-insensitive analysis would pair
-        # (open taken, close skipped); the gate pruning must not.
-        findings, facts = _span_verdicts(
-            """
-            def append(probe, disk, rec):
-                sp = probe._ACTIVE
-                if sp is not None:
-                    sp.stage_open("device.write", 0, 0)
-                disk.put(rec)
-                if sp is not None:
-                    sp.stage_close("device.write", 0, 1, 0)
-            """
-        )
-        assert findings == []
-        assert facts == ["lvm103 span-balanced repro/serve/fix.py::append"]
-
-    def test_unbounded_loop_growth_reported(self):
-        findings, _ = _span_verdicts(
-            """
-            def drain(sp, q):
-                while q:
-                    sp.stage_open("item")
-            """
-        )
-        assert [f.rule_id for f in findings] == ["LVM103"]
-        assert "without bound" in findings[0].message
-
-    def test_obs_package_is_excluded(self):
-        findings, facts = _span_verdicts(
-            """
-            def protocol_impl(sp):
-                sp.stage_open("x")
-            """,
-            module_path="repro/obs/tracer.py",
-        )
-        assert findings == []
-        assert facts == []

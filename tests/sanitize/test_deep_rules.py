@@ -1,8 +1,8 @@
-"""Must-pass / must-fail fixtures for the interprocedural rule families.
+"""Must-pass / must-fail fixtures for the interprocedural LVM101 rule.
 
-Every deep rule gets both directions: a seeded violation it *must*
-report (an inert analysis silently passes everything) and a
-conforming twin it *must not* report (a paranoid analysis is unusable).
+The rule gets both directions: a seeded violation it *must* report (an
+inert analysis silently passes everything) and a conforming twin it
+*must not* report (a paranoid analysis is unusable).
 Fixtures run through the same :class:`Project`/:class:`CallGraph`
 machinery as the real ``--deep`` run, just over in-memory modules.
 """
@@ -10,9 +10,8 @@ machinery as the real ``--deep`` run, just over in-memory modules.
 from __future__ import annotations
 
 import textwrap
-from typing import Sequence, Tuple
 
-from repro.sanitize.deep import durability, reach, spans, units
+from repro.sanitize.deep import durability
 from repro.sanitize.deep.callgraph import CallGraph
 from repro.sanitize.deep.project import Project
 from repro.sanitize.engine import make_context
@@ -222,175 +221,3 @@ class TestLVM101Durability:
         )
         findings, _ = durability.check(project, graph)
         assert findings == []
-
-
-class TestLVM102Units:
-    def test_wall_minus_cycles_is_reported(self):
-        project, graph = _project(
-            """
-        import time
-
-        def elapsed(start_cycles):
-            wall = time.time()
-            return wall - start_cycles
-        """
-        )
-        findings, _ = units.check(project, graph)
-        assert _rule_ids(findings) == ["LVM102"]
-
-    def test_cycles_per_second_rate_is_legal(self):
-        project, graph = _project(
-            """
-        def rate(total_cycles, wall_secs):
-            return total_cycles / wall_secs
-        """
-        )
-        findings, _ = units.check(project, graph)
-        assert findings == []
-
-    def test_bytes_into_cycle_named_variable_is_reported(self):
-        project, graph = _project(
-            """
-        def budget(nbytes):
-            cycles_needed = nbytes
-            return cycles_needed
-        """
-        )
-        findings, _ = units.check(project, graph)
-        assert _rule_ids(findings) == ["LVM102"]
-
-    def test_interprocedural_wall_return_added_to_cycles(self):
-        project, graph = _project(
-            """
-        import time
-
-        def wall_now():
-            return time.time()
-
-        def deadline(cycle_count):
-            return cycle_count + wall_now()
-        """
-        )
-        findings, _ = units.check(project, graph)
-        assert _rule_ids(findings) == ["LVM102"]
-
-    def test_cycles_plus_cycles_is_legal(self):
-        project, graph = _project(
-            """
-        def total(cycles_a, cycles_b):
-            return cycles_a + cycles_b
-        """
-        )
-        findings, _ = units.check(project, graph)
-        assert findings == []
-
-
-class TestLVM103Spans:
-    # The CFG-level span verdicts live in test_cfg.py; here: gate purity.
-    def test_impure_gate_store_is_reported(self):
-        ctx = make_context(
-            textwrap.dedent(
-                """
-            def traced(probe, obj):
-                sp = probe._ACTIVE
-                if sp is not None:
-                    obj.count += 1
-            """
-            ),
-            "repro/serve/fix0.py",
-        )
-        findings, _ = spans.check(Project.from_contexts([ctx]))
-        assert _rule_ids(findings) == ["LVM103"]
-        assert "mutation" in findings[0].message
-
-    def test_gate_control_flow_is_reported(self):
-        ctx = make_context(
-            textwrap.dedent(
-                """
-            def traced(probe, req):
-                sp = probe._ACTIVE
-                if sp is not None:
-                    sp.inc("requests")
-                    raise RuntimeError("tracing broke the bare path")
-            """
-            ),
-            "repro/serve/fix0.py",
-        )
-        findings, _ = spans.check(Project.from_contexts([ctx]))
-        assert _rule_ids(findings) == ["LVM103"]
-        assert "control flow" in findings[0].message
-
-    def test_pure_gate_body_is_legal(self):
-        ctx = make_context(
-            textwrap.dedent(
-                """
-            def traced(probe, req):
-                sp = probe._ACTIVE
-                if sp is not None:
-                    size = len(req)
-                    sp.observe("request_bytes", size)
-            """
-            ),
-            "repro/serve/fix0.py",
-        )
-        findings, _ = spans.check(Project.from_contexts([ctx]))
-        assert findings == []
-
-    def test_fused_fallback_single_return_is_legal(self):
-        ctx = make_context(
-            textwrap.dedent(
-                """
-            def fast_path(faultplan, data):
-                if faultplan._ACTIVE is not None:
-                    return False
-                return _do_fast(data)
-            """
-            ),
-            "repro/serve/fix0.py",
-        )
-        findings, _ = spans.check(Project.from_contexts([ctx]))
-        assert findings == []
-
-
-class TestLVM104Reachability:
-    REGISTRY = {"srv.commit", "srv.orphan"}
-
-    SOURCE = """
-    SITE_COMMIT = "srv.commit"
-
-    def _hidden(plan):
-        plan.hit("srv.orphan")
-
-    class Srv:
-        def commit(self, plan):
-            plan.hit(SITE_COMMIT)
-    """
-
-    def test_unreachable_site_is_reported_and_live_site_proved(self):
-        project, graph = _project(self.SOURCE)
-        findings, facts = reach.check(project, graph, set(self.REGISTRY))
-        assert _rule_ids(findings) == ["LVM104"]
-        assert "srv.orphan" in findings[0].message
-        assert facts == ["lvm104 site-reachable srv.commit"]
-
-    def test_stale_registry_entry_is_reported(self):
-        project, graph = _project(self.SOURCE)
-        findings, _ = reach.check(
-            project, graph, {"srv.commit", "srv.gone_from_code"}
-        )
-        assert _rule_ids(findings) == ["LVM104"]
-        assert "stale" in findings[0].message
-
-    def test_site_behind_public_caller_chain_is_live(self):
-        project, graph = _project(
-            """
-        def _helper(plan):
-            plan.hit("srv.deep_site")
-
-        def entry(plan):
-            _helper(plan)
-        """
-        )
-        findings, facts = reach.check(project, graph, {"srv.deep_site"})
-        assert findings == []
-        assert facts == ["lvm104 site-reachable srv.deep_site"]

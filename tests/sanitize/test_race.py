@@ -174,6 +174,61 @@ class TestDetectorUnit:
                 race.install(LogRaceDetector())
 
 
+class TestStageBalance:
+    """Every probe ``stage_open`` meets its ``stage_close`` on its CPU."""
+
+    def test_balanced_stages_leave_nothing_open(self):
+        det = LogRaceDetector()
+        det._stage_open("rvm.commit", 10, 0)
+        det._stage_open("wal.append", 12, 0)
+        det._stage_close("wal.append", 12, 20, 0, "COMMIT", 16)
+        det._stage_close("rvm.commit", 10, 30, 0, 1, 2, {}, 5)
+        assert det.open_stages == {}
+
+    def test_unclosed_stage_is_reported(self):
+        det = LogRaceDetector()
+        det._stage_open("rvm.flush", 10, 1)
+        det._stage_open("rvm.flush", 40, 0)
+        det._stage_close("rvm.flush", 40, 50, 0, 1, 0, {})
+        assert det.open_stages == {("rvm.flush", 1): 1}
+        assert "unbalanced stage rvm.flush on cpu1: +1 open" in det.summary()
+
+    def test_close_without_open_is_reported(self):
+        det = LogRaceDetector()
+        det._stage_close("device.write", 0, 5, 0, "ram", 8)
+        assert det.open_stages == {("device.write", 0): -1}
+
+    def test_fault_crash_clears_open_stages(self):
+        from repro.faults.plan import CrashSpec, FaultPlan
+        from repro.serve.cli import run_serve
+
+        # The crash fires inside the device.flush stage of a commit, so
+        # that stage and the ones around it stay open on purpose.
+        plan = FaultPlan(crash=CrashSpec("backend.flush", 2, "before"))
+        with fresh_detector() as det:
+            result = run_serve(clients=2, txns=2, writes=1, seed=7, plan=plan)
+        assert result["crash"] is not None
+        assert det.open_stages == {}
+
+    def test_cli_fails_on_an_open_stage(self, monkeypatch, capsys):
+        from repro import probe
+        from repro.obs import workloads
+        from repro.sanitize.cli import race_main
+
+        def leaky(name):
+            probe._ACTIVE.stage_open("fixture.stage", 0, 0)
+
+        monkeypatch.setattr(workloads, "run_workload", leaky)
+        previous = race.active()
+        race.uninstall()
+        try:
+            assert race_main(["leaky"]) == 1
+        finally:
+            if previous is not None:
+                race.install(previous)
+        assert "unbalanced stage fixture.stage" in capsys.readouterr().out
+
+
 @pytest.fixture
 def smp_machine():
     machine = boot(MachineConfig(num_cpus=2, memory_bytes=32 * 1024 * 1024))

@@ -143,154 +143,6 @@ class TestLVM002Randomness:
         assert rule_ids(src) == []
 
 
-class TestLVM003IntegerCycles:
-    def test_true_division_flagged(self):
-        src = """\
-            def split(total, n):
-                cycles = total / n
-                return cycles
-            """
-        assert rule_ids(src) == ["LVM003"]
-
-    def test_float_literal_flagged(self):
-        src = """\
-            def pad(base):
-                wait_cycles = base + 1.5
-                return wait_cycles
-            """
-        assert rule_ids(src) == ["LVM003"]
-
-    def test_float_call_flagged(self):
-        src = """\
-            def widen(n):
-                cycle = float(n)
-                return cycle
-            """
-        assert rule_ids(src) == ["LVM003"]
-
-    def test_augmented_division_flagged(self):
-        src = """\
-            def halve(cycles):
-                cycles /= 2
-                return cycles
-            """
-        assert rule_ids(src) == ["LVM003"]
-
-    def test_attribute_target_flagged(self):
-        src = """\
-            def charge(self, n):
-                self.stall_cycles = n / 2
-            """
-        assert rule_ids(src) == ["LVM003"]
-
-    def test_float_annotation_flagged(self):
-        src = """\
-            def f(n):
-                cycles: float = 0
-                return cycles
-            """
-        assert rule_ids(src) == ["LVM003"]
-
-    def test_floor_division_passes(self):
-        src = """\
-            def split(total, n):
-                cycles = total // n
-                return cycles
-            """
-        assert rule_ids(src) == []
-
-    def test_non_cycle_ratio_passes(self):
-        src = """\
-            def rate(records, cycles):
-                per_cycle = records / cycles
-                return per_cycle
-            """
-        assert rule_ids(src) == []
-
-    def test_suppression_works(self):
-        src = """\
-            def report(total, n):
-                cycles = total / n  # lvm-san: ignore[LVM003]
-                return cycles
-            """
-        assert rule_ids(src) == []
-
-
-class TestLVM004GatePattern:
-    def test_truthiness_flagged(self):
-        src = """\
-            _ACTIVE = None
-            def gate():
-                if _ACTIVE:
-                    return 1
-                return 0
-            """
-        assert rule_ids(src) == ["LVM004"]
-
-    def test_equality_with_none_flagged(self):
-        src = """\
-            _ACTIVE = None
-            def gate():
-                return _ACTIVE == None
-            """
-        assert rule_ids(src) == ["LVM004"]
-
-    def test_not_operator_flagged(self):
-        src = """\
-            _ACTIVE = None
-            def gate():
-                return not _ACTIVE
-            """
-        assert rule_ids(src) == ["LVM004"]
-
-    def test_unguarded_member_access_flagged(self):
-        src = """\
-            from repro import probe
-            def emit():
-                probe._ACTIVE.inc("x", 1)
-            """
-        assert rule_ids(src, "repro/core/fixture.py") == ["LVM004"]
-
-    def test_spine_gate_truthiness_flagged(self):
-        src = """\
-            from repro import probe
-            def emit():
-                sp = probe._ACTIVE
-                if probe._ACTIVE:
-                    sp.inc("x", 1)
-            """
-        assert rule_ids(src, "repro/core/fixture.py") == ["LVM004"]
-
-    def test_is_none_gate_passes(self):
-        src = """\
-            _ACTIVE = None
-            def gate():
-                if _ACTIVE is None:
-                    return 0
-                return 1
-            """
-        assert rule_ids(src) == []
-
-    def test_guarded_chained_use_passes(self):
-        src = """\
-            from repro.faults import plan as faultplan
-            def hit(site, cycle):
-                if faultplan._ACTIVE is not None:
-                    faultplan._ACTIVE.hit("rvm.commit.log", cycle=cycle)
-            """
-        assert rule_ids(src, "repro/core/fixture.py") == []
-
-    def test_capture_to_local_passes(self):
-        src = """\
-            from repro import probe
-            def emit():
-                sp = probe._ACTIVE
-                if sp is not None:
-                    sp.inc("x", 1)
-            """
-        assert rule_ids(src, "repro/core/fixture.py") == []
-
-
 class TestLVM005FaultSites:
     def test_unknown_site_flagged(self):
         src = """\
@@ -352,96 +204,15 @@ class TestLVM005FaultSites:
         assert findings == []
 
 
-class TestLVM006FastPathFallback:
-    def test_bare_fast_path_flagged(self):
-        src = """\
-            def copy_fast(dst, src):
-                dst[:] = src
-            def caller(dst, src):
-                copy_fast(dst, src)
-            """
-        assert rule_ids(src) == ["LVM006"]
-
-    def test_guard_in_function_passes(self):
-        src = """\
-            from repro import probe
-            from repro.faults import plan as faultplan
-            def copy_fast(dst, src):
-                sp = probe._ACTIVE
-                if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
-                    return False
-                dst[:] = src
-                return True
-            """
-        assert rule_ids(src) == []
-
-    def test_guard_in_all_callers_passes(self):
-        src = """\
-            from repro import probe
-            from repro.faults import plan as faultplan
-            def _drain_fast(entries):
-                entries.clear()
-            def drain(entries):
-                sp = probe._ACTIVE
-                if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
-                    return None
-                return _drain_fast(entries)
-            """
-        assert rule_ids(src) == []
-
-    def test_one_unguarded_caller_flags(self):
-        src = """\
-            from repro import probe
-            from repro.faults import plan as faultplan
-            def _drain_fast(entries):
-                entries.clear()
-            def drain(entries):
-                sp = probe._ACTIVE
-                if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
-                    return None
-                return _drain_fast(entries)
-            def sneaky(entries):
-                return _drain_fast(entries)
-            """
-        assert rule_ids(src) == ["LVM006"]
-
-    def test_trace_detail_guard_counts(self):
-        # The detail half is required: a fault-plan-only guard would let
-        # a tracer watch the fused loop skip its per-record spans.
-        src = """\
-            from repro.faults import plan as faultplan
-            def write_fast(dst, src):
-                if faultplan._ACTIVE is not None:
-                    return False
-                dst[:] = src
-                return True
-            """
-        assert rule_ids(src) == ["LVM006"]
-
-    def test_detail_flag_alone_is_not_the_condition(self):
-        src = """\
-            from repro import probe
-            def write_fast(dst, src):
-                sp = probe._ACTIVE
-                if sp is not None and sp.detail:
-                    return False
-                dst[:] = src
-                return True
-            """
-        assert rule_ids(src) == ["LVM006"]
-
-
 class TestRuleInventory:
     def test_rule_ids_are_unique_and_documented(self):
         rules = all_rules()
         ids = [rule.rule_id for rule in rules]
         assert ids == sorted(ids)
-        assert len(set(ids)) == len(ids) == 6
+        assert len(set(ids)) == len(ids) == 3
         for rule in rules:
             assert rule.title, rule.rule_id
             assert rule.rationale, rule.rule_id
 
     def test_rules_by_id(self):
-        assert set(rules_by_id()) == {
-            "LVM001", "LVM002", "LVM003", "LVM004", "LVM005", "LVM006",
-        }
+        assert set(rules_by_id()) == {"LVM001", "LVM002", "LVM005"}

@@ -34,11 +34,22 @@ GOLDEN = {
     "rlvm": (136500, 28),
     "serve-sync": (702843, "0b9325c45cabb2f3"),
     "serve-grouped": (254643, "0b9325c45cabb2f3"),
+    "serve-disk": (722993, "5249eb1794c04ab7"),
+    "serve-nvram": (99663, "5249eb1794c04ab7"),
 }
 
 SERVE_WORKLOAD = dict(clients=8, txns=3, writes=2, seed=7)
-SERVE_GROUPS = {"serve-sync": 1, "serve-grouped": 4}
-WORKLOADS = ("copy", "rvm", "rlvm", "timewarp", *SERVE_GROUPS)
+#: Serve configurations: the RAM disk synchronous and batched, then
+#: the timed devices, so their cost models are pinned too.  The disk
+#: row is RLVM with group commit on the rotating disk (perfbench's
+#: serve16 configuration).
+SERVE_RUNS = {
+    "serve-sync": dict(group=1),
+    "serve-grouped": dict(group=4),
+    "serve-disk": dict(device="disk", backend="rlvm", group=8, group_commit=True),
+    "serve-nvram": dict(device="nvram_tmpfs", backend="rlvm", group=4),
+}
+WORKLOADS = ("copy", "rvm", "rlvm", "timewarp", *SERVE_RUNS)
 
 
 def _traced_obs():
@@ -59,13 +70,13 @@ CONFIGS = [(kind,) for kind in SUBSCRIBERS] + [ALL_FIVE]
 
 
 def _run(workload: str) -> dict:
-    if workload in SERVE_GROUPS:
-        return run_serve(group=SERVE_GROUPS[workload], **SERVE_WORKLOAD)
+    if workload in SERVE_RUNS:
+        return run_serve(**SERVE_RUNS[workload], **SERVE_WORKLOAD)
     return run_workload(workload)
 
 
 def _fingerprint(workload: str, result: dict) -> dict:
-    if workload in SERVE_GROUPS:
+    if workload in SERVE_RUNS:
         server = result["server"]
         return {
             "cycles": result["machine"].time(),
@@ -88,7 +99,7 @@ def _fingerprint(workload: str, result: dict) -> dict:
 
 
 def _golden(workload: str, fp: dict) -> tuple:
-    if workload in SERVE_GROUPS:
+    if workload in SERVE_RUNS:
         return fp["cycles"], hashlib.sha256(fp["device_bytes"]).hexdigest()[:16]
     return fp["cycles"], fp["hw_records"]
 
@@ -98,12 +109,15 @@ def _assert_live(kind: str, sub, workload: str, result: dict) -> None:
     if kind == "analytics" and log is not None:
         tap = sub.tap_for(log)
         assert tap is not None and tap.stats.record_count > 0
-    elif kind == "causal" and workload in SERVE_GROUPS:
+    elif kind == "causal" and workload in SERVE_RUNS:
         assert sub.completed and not sub.open
-    elif kind == "flight" and workload in SERVE_GROUPS:
+    elif kind == "flight" and workload in SERVE_RUNS:
         assert sub.seen > 0
-    elif kind == "race" and workload in ("copy", "timewarp"):
-        assert sub.writes_checked > 0 and sub.races_seen == 0
+    elif kind == "race":
+        # Every stage opened was closed: nothing crashes in these runs.
+        assert not sub.open_stages, sub.summary()
+        if workload in ("copy", "timewarp"):
+            assert sub.writes_checked > 0 and sub.races_seen == 0
     elif kind.startswith("obs"):
         counters = sub.metrics.snapshot()["counters"]
         assert counters
