@@ -24,13 +24,11 @@ retained records after a crash (fault site ``analytics.rebuild``).
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from repro import probe
 from repro.faults import plan as faultplan
-from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
+from repro.hw.params import PAGE_SIZE
 from repro.analytics.core import (
     DEFAULT_HEAT_HALF_LIFE,
     DEFAULT_WSS_WINDOW,
@@ -70,12 +68,6 @@ class LogTap:
         self.forecast = GrowthForecast()
         self.rewinds = 0
         self._cursor = log.start_offset
-        # Normal 16-byte records pack densely (PAGE_SIZE is a record
-        # multiple, so none straddles a page); extended 24-byte logs pad
-        # at page boundaries and take the generic decode path.
-        self._fast = (
-            not log.extended_records and PAGE_SIZE % LOG_RECORD_SIZE == 0
-        )
 
     def rewound(self, to_offset: int) -> None:
         """The log's append point moved back to ``to_offset``."""
@@ -98,62 +90,39 @@ class LogTap:
             self.rewinds += 1
             self._cursor = tail
             return 0
-        start = log.start_offset
-        if cursor < start:
-            # Truncated under us: the reclaimed range is no longer part
-            # of the retained stream (same clamp records_with_offsets
-            # applies).  Taps attached at bind time consume ahead of
-            # any truncation, so this only affects late attachers.
-            cursor = start
-        if tail == cursor:
-            return 0
-        prev_last_ts = self.stats.last_timestamp
-        if self._fast:
-            # Column decode without per-record Python: a 16-byte record
-            # is four little-endian words (addr, value, size|flags<<16,
-            # timestamp), so strided views give whole columns at once
-            # and the folds see only per-page aggregates.
-            data = log.read_bytes(cursor, tail - cursor)
-            words = np.frombuffer(data, dtype="<u4")
-            addrs = words[0::4]
-            stamps = words[3::4]
-            sizes = np.frombuffer(data, dtype="<u2")[4::8]
-            pages = addrs >> _PAGE_SHIFT
-            uniq, counts = np.unique(pages, return_counts=True)
-            page_counts = dict(zip(uniq.tolist(), counts.tolist()))
-            last_ts = int(stamps[-1])
-            self.stats.fold_page_counts(
-                page_counts,
-                len(addrs),
-                int(sizes.sum(dtype=np.int64)),
-                int(stamps[0]),
-                last_ts,
-            )
-            self.wss.extend_pages_array(pages)
-            self.heat.touch_many(page_counts, last_ts)
-            consumed = len(addrs)
-        else:
-            # Heat is *advance-granular* on every path: the records of
-            # one advance are counted at the batch's last timestamp
-            # (matching the column path above), with decay applied
-            # between advances.
-            consumed = 0
-            batch_pages: Counter[int] = Counter()
-            for _offset, record in log.records_with_offsets(start=cursor):
-                self.stats.fold(record)
-                self.wss.fold(record)
-                batch_pages[record.addr // PAGE_SIZE] += 1
-                consumed += 1
-            last_ts = self.stats.last_timestamp
-            if consumed:
-                self.heat.touch_many(batch_pages, last_ts)
+        # byte_spans clamps a cursor the log was truncated past: the
+        # reclaimed range is no longer part of the retained stream.
+        # Column decode without per-record Python: each span holds whole
+        # records of little-endian words (addr, value, size|flags<<16,
+        # timestamp, then the extended format's old value and PC), so
+        # column views give whole fields at once and the folds see only
+        # per-page aggregates.
+        data = b"".join(chunk for _offset, chunk in log.byte_spans(cursor))
         self._cursor = tail
-        if consumed:
-            self.forecast.observe(consumed * log.record_size, last_ts)
-            if prev_last_ts is not None and last_ts > prev_last_ts:
-                self.write_rate.update(
-                    1000.0 * consumed / (last_ts - prev_last_ts)
-                )
+        if not data:
+            return 0
+        words = np.frombuffer(data, dtype="<u4").reshape(-1, log.record_size // 4)
+        stamps = words[:, 3]
+        pages = words[:, 0] >> _PAGE_SHIFT
+        uniq, counts = np.unique(pages, return_counts=True)
+        page_counts = dict(zip(uniq.tolist(), counts.tolist()))
+        consumed = len(words)
+        prev_last_ts = self.stats.last_timestamp
+        last_ts = int(stamps[-1])
+        self.stats.fold_page_counts(
+            page_counts,
+            consumed,
+            int((words[:, 2] & 0xFFFF).sum(dtype=np.int64)),
+            int(stamps[0]),
+            last_ts,
+        )
+        self.wss.extend_pages_array(pages)
+        # Heat is advance-granular: one advance's records count at its
+        # last timestamp, with decay applied between advances.
+        self.heat.touch_many(page_counts, last_ts)
+        self.forecast.observe(consumed * log.record_size, last_ts)
+        if prev_last_ts is not None and last_ts > prev_last_ts:
+            self.write_rate.update(1000.0 * consumed / (last_ts - prev_last_ts))
         return consumed
 
     @property

@@ -21,7 +21,7 @@ from repro.core.process import Process
 from repro.core.region import Region
 from repro.core.segment import StdSegment
 from repro.hw.params import LOG_RECORD_SIZE
-from repro.hw.records import LogRecord, decode_record, encode_record
+from repro.hw.records import LogRecord, decode_records, encode_record
 
 
 class InstrumentedLogger:
@@ -71,10 +71,7 @@ class InstrumentedLogger:
 
     def records(self) -> list[LogRecord]:
         """Decode the software log."""
-        out = []
-        for offset in range(0, self.tail, LOG_RECORD_SIZE):
-            out.append(decode_record(self._log.read_bytes(offset, LOG_RECORD_SIZE)))
-        return out
+        return list(decode_records(self._log.read_bytes(0, self.tail)))
 
     def clear(self) -> None:
         self.tail = 0

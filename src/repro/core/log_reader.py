@@ -12,13 +12,13 @@ synchronizes on the end of the log".
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.errors import LoggingError
 from repro.core.log_segment import LogSegment
 from repro.core.region import Region
 from repro.hw.params import PAGE_SIZE
-from repro.hw.records import LogRecord
+from repro.hw.records import FLAG_VIRTUAL_ADDR, LogRecord
 
 
 class RegionLogView:
@@ -42,9 +42,11 @@ class RegionLogView:
     # ------------------------------------------------------------------
     def offset_of(self, record: LogRecord) -> int:
         """Segment offset the record's write landed at."""
-        if record.is_virtual:
-            return self.region.va_to_offset(record.addr)
-        target = record.addr // PAGE_SIZE
+        return self.translator()(record.addr, record.flags)
+
+    def _page_base(self, paddr: int) -> int:
+        """Segment offset of the page backing physical address ``paddr``."""
+        target = paddr // PAGE_SIZE
         page_index = self._frame_map.get(target)
         if page_index is not None:
             # Validate the hit against the live page table: after a page
@@ -62,10 +64,31 @@ class RegionLogView:
             page_index = self._frame_map.get(target)
         if page_index is None:
             raise LoggingError(
-                f"log record address {record.addr:#x} is not backed by "
+                f"log record address {paddr:#x} is not backed by "
                 "any page of the region's segment"
             )
-        return page_index * PAGE_SIZE + record.addr % PAGE_SIZE
+        return page_index * PAGE_SIZE
+
+    def translator(self) -> Callable[[int, int], int]:
+        """Return ``to_offset(addr, flags)`` for one pass over the log.
+
+        It checks each frame against the live page table once, then
+        caches it; pages may be remapped between passes.
+        """
+        bases: dict[int, int] = {}
+        page_base = self._page_base
+        va_to_offset = self.region.va_to_offset
+
+        def to_offset(addr: int, flags: int) -> int:
+            if flags & FLAG_VIRTUAL_ADDR:
+                return va_to_offset(addr)
+            frame = addr // PAGE_SIZE
+            base = bases.get(frame)
+            if base is None:
+                base = bases[frame] = page_base(addr)
+            return base + addr % PAGE_SIZE
+
+        return to_offset
 
     def va_of(self, record: LogRecord) -> int:
         """Virtual address the record's write targeted."""
@@ -82,8 +105,10 @@ class RegionLogView:
 
     def updates(self) -> Iterator[tuple[int, int, int]]:
         """(segment offset, value, size) triples, in write order."""
-        for record in self.log.records():
-            yield self.offset_of(record), record.value, record.size
+        to_offset = self.translator()
+        for _offset, rows in self.log.record_spans():
+            for addr, value, size, flags, _timestamp in rows:
+                yield to_offset(addr, flags), value, size
 
     def apply_to(self, segment, limit_offset: int | None = None) -> int:
         """Replay retained records onto ``segment`` (roll-forward).
@@ -91,12 +116,13 @@ class RegionLogView:
         Stops before the log offset ``limit_offset`` when given.
         Returns the number of records applied.
         """
+        to_offset = self.translator()
+        write = segment.write
         applied = 0
-        for log_offset, record in self.log.records_with_offsets():
-            if limit_offset is not None and log_offset >= limit_offset:
-                break
-            segment.write(self.offset_of(record), record.value, record.size)
-            applied += 1
+        for _offset, rows in self.log.record_spans(end=limit_offset):
+            for addr, value, size, flags, _timestamp in rows:
+                write(to_offset(addr, flags), value, size)
+                applied += 1
         return applied
 
 
@@ -122,7 +148,11 @@ class LogFollower:
             self._cursor = log.start_offset
         # A cursor past the tail (the producer rewound below it) reads
         # nothing and re-anchors at the new tail.
-        out = [record for _, record in log.records_with_offsets(start=self._cursor)]
+        out = [
+            LogRecord(addr, value, size, timestamp, flags)
+            for _offset, rows in log.record_spans(self._cursor)
+            for addr, value, size, flags, timestamp in rows
+        ]
         self._cursor = log.append_offset
         self.records_seen += len(out)
         return out

@@ -21,12 +21,14 @@ the log automatically instead.
 
 from __future__ import annotations
 
+import struct
 from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import LoggingError, SegmentError
+from repro.errors import LoggingError
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import (
     EXTENDED_RECORD_SIZE,
+    RECORD_STRUCT,
     LogRecord,
     decode_extended_record,
     decode_record,
@@ -41,6 +43,10 @@ DEFAULT_LOG_CAPACITY = 4 * 1024 * 1024
 
 #: Size of one indexed-mode entry (a bare data value, section 2.6).
 INDEXED_ENTRY_SIZE = 4
+
+#: The leading ``(addr, value, size, flags, timestamp)`` fields of a
+#: 24-byte extended record; the pre-write value and PC are skipped.
+_EXTENDED_FIELDS = struct.Struct(RECORD_STRUCT.format + "8x")
 
 
 class LogSegment(Segment):
@@ -84,8 +90,7 @@ class LogSegment(Segment):
     @property
     def record_count(self) -> int:
         """Number of records currently retained (after truncation)."""
-        skipped = sum(1 for _ in self._record_offsets(0, self.start_offset))
-        return self.records_appended - skipped
+        return self.records_appended - self._records_below(self.start_offset)
 
     def extend(self, npages: int = 1) -> None:
         """Make ``npages`` more pages available for appending.
@@ -125,37 +130,68 @@ class LogSegment(Segment):
         if not self.start_offset <= to_offset <= self.append_offset:
             raise LoggingError("rewind point outside the logged range")
         self.machine.quiesce()
+        self.records_appended -= (
+            self._records_below(self.append_offset) - self._records_below(to_offset)
+        )
         self.append_offset = to_offset
-        self.records_appended = sum(1 for _ in self._record_offsets(0, to_offset))
         if self.attached_kernel is not None:
             self.attached_kernel.log_rewound(self)
 
-    def records(self) -> Iterator[LogRecord]:
-        """Iterate retained records in write order."""
-        for offset in self._record_offsets(self.start_offset, self.append_offset):
-            data = self.read_bytes(offset, self.record_size)
-            if self.extended_records:
-                yield decode_extended_record(data)
-            else:
-                yield decode_record(data)
+    def byte_spans(
+        self, start: int | None = None, end: int | None = None
+    ) -> Iterator[tuple[int, bytes]]:
+        """Read retained records in ``[start, end)`` a span at a time.
+
+        A span is the run of whole records inside one page, read with
+        one ``read_bytes``; yields its log offset and bytes.  ``start``
+        (a prior offset, e.g. a reader's cursor) is clamped to the
+        truncation point and ``end`` to the append point.
+        """
+        stride = self.record_size
+        offset = self.start_offset if start is None else max(start, self.start_offset)
+        end = self.append_offset if end is None else min(end, self.append_offset)
+        while offset + stride <= end:
+            page_end = offset - offset % PAGE_SIZE + PAGE_SIZE
+            n = (min(end, page_end) - offset) // stride
+            if n == 0:
+                # Extended records are padded past page boundaries.
+                offset = page_end
+                continue
+            yield offset, self.read_bytes(offset, n * stride)
+            offset += n * stride
+
+    def record_spans(
+        self, start: int | None = None, end: int | None = None
+    ) -> Iterator[tuple[int, Iterator[tuple[int, ...]]]]:
+        """Decode :meth:`byte_spans` with one ``iter_unpack`` per span.
+
+        Yields each span's log offset with its ``(addr, value, size,
+        flags, timestamp)`` rows; the ``i``-th row sits at ``offset +
+        i * record_size``.
+        """
+        unpack = (_EXTENDED_FIELDS if self.extended_records else RECORD_STRUCT).iter_unpack
+        for offset, data in self.byte_spans(start, end):
+            yield offset, unpack(data)
 
     def records_with_offsets(
         self, start: int | None = None
     ) -> Iterator[tuple[int, LogRecord]]:
         """Iterate ``(log_offset, record)`` pairs for retained records.
 
-        ``start`` (a log offset, e.g. a previously returned offset or a
-        prior ``append_offset``) lets incremental consumers — the replay
-        engine, followers — parse only the tail appended since their
-        last visit instead of rescanning the whole log.
+        The :class:`LogRecord` object view, for the debugger and CLI;
+        hot readers use :meth:`record_spans`.  ``start`` is clamped as
+        in :meth:`byte_spans`.
         """
-        begin = self.start_offset if start is None else max(start, self.start_offset)
-        for offset in self._record_offsets(begin, self.append_offset):
-            data = self.read_bytes(offset, self.record_size)
-            if self.extended_records:
-                yield offset, decode_extended_record(data)
-            else:
-                yield offset, decode_record(data)
+        decode = decode_extended_record if self.extended_records else decode_record
+        stride = self.record_size
+        for offset, data in self.byte_spans(start):
+            for pos in range(0, len(data), stride):
+                yield offset + pos, decode(data, pos)
+
+    def records(self) -> Iterator[LogRecord]:
+        """Iterate retained records in write order."""
+        for _offset, record in self.records_with_offsets():
+            yield record
 
     def values(self, size: int = INDEXED_ENTRY_SIZE) -> Iterator[int]:
         """Iterate bare data values for an indexed-mode log (section 2.6)."""
@@ -219,18 +255,8 @@ class LogSegment(Segment):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _record_offsets(self, start: int, end: int) -> Iterator[int]:
-        """Yield the offsets of whole records in ``[start, end)``."""
-        stride = self.record_size
-        offset = start
-        while offset + stride <= end:
-            if PAGE_SIZE - offset % PAGE_SIZE < stride:
-                # Extended records are padded past page boundaries.
-                offset = (offset // PAGE_SIZE + 1) * PAGE_SIZE
-                continue
-            yield offset
-            offset += stride
-
-    def _check_not_source(self) -> None:  # pragma: no cover - guard
-        if self.source is not None:
-            raise SegmentError("log segments cannot be deferred-copy destinations")
+    def _records_below(self, offset: int) -> int:
+        """Whole records in ``[0, offset)``, in closed form: a page holds
+        ``PAGE_SIZE // record_size`` of them and none straddles pages."""
+        pages, in_page = divmod(offset, PAGE_SIZE)
+        return pages * (PAGE_SIZE // self.record_size) + in_page // self.record_size

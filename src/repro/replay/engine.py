@@ -11,7 +11,7 @@ Design notes:
 
 * **Incremental parsing.**  The log is parsed once; each
   :meth:`history` call decodes only the tail appended since the last
-  visit (``LogSegment.records_with_offsets(start=...)``).  Record
+  visit (``LogSegment.record_spans(start)``).  Record
   addresses are translated to segment offsets at parse time, while the
   frame map is current.
 * **Lazy checkpointing.**  Checkpoints are built on demand up to the
@@ -243,17 +243,12 @@ class ReplayEngine:
             parsed = self._parsed
         if log.append_offset == parsed.parsed_to:
             return
-        for _offset, record in log.records_with_offsets(start=parsed.parsed_to):
-            parsed.records.append(record)
-            parsed.writes.append(
-                ReplayWrite(
-                    offset=self._view.offset_of(record),
-                    value=record.value,
-                    size=record.size,
-                    timestamp=record.timestamp,
-                )
-            )
-            parsed.timestamps.append(record.timestamp)
+        to_offset = self._view.translator()
+        for _offset, rows in log.record_spans(parsed.parsed_to):
+            for addr, value, size, flags, timestamp in rows:
+                parsed.records.append(LogRecord(addr, value, size, timestamp, flags))
+                parsed.writes.append(ReplayWrite(to_offset(addr, flags), value, size, timestamp))
+                parsed.timestamps.append(timestamp)
         parsed.parsed_to = log.append_offset
 
     def _reset_caches(self) -> None:

@@ -217,21 +217,21 @@ class RLVM(RecoverableLibrary):
         """
         out = []
         saw_marker = False
-        for record in rseg.log.records():
-            try:
-                offset = rseg.view.offset_of(record)
-            except LoggingError as exc:
-                raise TransactionError(
-                    "log record for an address outside the segment"
-                ) from exc
-            if offset < CONTROL_BYTES:
-                if record.value != tid:
-                    raise TransactionError(
-                        f"stale transaction marker {record.value} (expected {tid})"
-                    )
-                saw_marker = True
-                continue
-            out.append((offset, record.value, record.size))
+        to_offset = rseg.view.translator()
+        try:
+            for _log_offset, rows in rseg.log.record_spans():
+                for addr, value, size, flags, _timestamp in rows:
+                    offset = to_offset(addr, flags)
+                    if offset < CONTROL_BYTES:
+                        if value != tid:
+                            raise TransactionError(
+                                f"stale transaction marker {value} (expected {tid})"
+                            )
+                        saw_marker = True
+                        continue
+                    out.append((offset, value, size))
+        except LoggingError as exc:
+            raise TransactionError("log record for an address outside the segment") from exc
         if out and not saw_marker:
             raise TransactionError("log records found without a begin marker")
         return out

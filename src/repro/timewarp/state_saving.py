@@ -199,17 +199,10 @@ class LVMStateSaver(StateSaver):
     # Rollback: resetDeferredCopy + roll-forward (section 2.4)
     # ------------------------------------------------------------------
     def rollback(self, vt: int) -> None:
-        if vt < self.checkpoint_time:
-            raise RollbackError(
-                f"cannot roll back to {vt}: checkpoint is at "
-                f"{self.checkpoint_time} (rollback before GVT is never "
-                "needed, section 2.4)"
-            )
+        self._check_rollback_target(vt)
         self.rollback_count += 1
-        scheduler = self.scheduler
-        proc = scheduler.proc
-        machine = scheduler.machine
-        machine.sync(proc.cpu)  # wait for in-flight log records to land
+        proc = self.scheduler.proc
+        self.scheduler.machine.sync(proc.cpu)  # wait for in-flight log records to land
 
         # 1. Reset the working segment to the checkpoint.
         proc.address_space().reset_deferred_copy(
@@ -217,22 +210,8 @@ class LVMStateSaver(StateSaver):
         )
 
         # 2. Roll forward: apply logged updates older than vt.
-        cut_offset = self.log.append_offset
-        for offset, record in self.log.records_with_offsets():
-            seg_offset = self._to_offset(record)
-            if seg_offset < MARKER_BYTES:
-                if record.value >= vt:
-                    cut_offset = offset
-                    break
-                continue
-            faultplan.hit("timewarp.rollback.restore", cycle=proc.now)
-            self.working.write(seg_offset, record.value, record.size)
-            proc.compute(APPLY_RECORD_CYCLES)
-            self.rollforward_records += 1
-
         # 3. Discard the undone suffix of the log.
-        self.log.rewind(cut_offset)
-        self._last_marker = None
+        self._roll_forward(self.log.start_offset, vt)
 
     # ------------------------------------------------------------------
     # CULT: checkpoint update and log truncation (section 2.4)
@@ -260,29 +239,76 @@ class LVMStateSaver(StateSaver):
                 return  # defer CULT: this scheduler may be the bottleneck
         proc = self.scheduler.proc
         self.scheduler.machine.sync(proc.cpu)
-        cut = None
-        for offset, record in self.log.records_with_offsets():
-            seg_offset = self._to_offset(record)
-            if seg_offset < MARKER_BYTES:
-                if record.value >= gvt:
-                    cut = offset
-                    break
-                continue
-            self.checkpoint.write(seg_offset, record.value, record.size)
-            if charge:
-                proc.compute(APPLY_RECORD_CYCLES)
-        if cut is None:
-            self.log.truncate()
-        else:
-            self.log.truncate(cut)
+        cut, _ = self._apply_log(self.checkpoint, self.log.start_offset, gvt, charge)
+        self.log.truncate(cut)
         self.checkpoint_time = gvt
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _to_offset(self, record) -> int:
-        """Translate a log record to a working-segment offset."""
-        return self._view.offset_of(record)
+    def _check_rollback_target(self, vt: int) -> None:
+        if vt < self.checkpoint_time:
+            raise RollbackError(
+                f"cannot roll back to {vt}: checkpoint is at "
+                f"{self.checkpoint_time} (rollback before GVT is never "
+                "needed, section 2.4)"
+            )
+
+    def _roll_forward(self, start: int, vt: int) -> None:
+        """Replay the working segment from log offset ``start`` up to
+        the first marker at or after ``vt``, then rewind the log there."""
+        cut, applied = self._apply_log(self.working, start, vt, charge=True, restore=True)
+        self.rollforward_records += applied
+        self.log.rewind(cut)
+        self._last_marker = None
+
+    def _apply_log(
+        self,
+        target: StdSegment,
+        start: int,
+        stop_vt: int,
+        charge: bool,
+        restore: bool = False,
+    ) -> tuple[int, int]:
+        """Apply logged updates from log offset ``start`` to ``target``
+        up to the first virtual-time marker at or after ``stop_vt``.
+
+        Returns that marker's log offset (the append point if none) and
+        the number of records applied.  ``charge`` costs
+        :data:`APPLY_RECORD_CYCLES` per record.  A rollback passes
+        ``restore``: with a fault plan installed, each record then hits
+        ``timewarp.rollback.restore`` and is charged as it is applied.
+        Otherwise one ``compute`` covers all records, which is
+        cycle-identical because compute charges are additive.
+        """
+        proc = self.scheduler.proc
+        log = self.log
+        stride = log.record_size
+        to_offset = self._view.translator()
+        write = target.write
+        per_record = restore and faultplan.active() is not None
+        applied = 0
+        cut = None
+        for span_start, rows in log.record_spans(start):
+            for index, (addr, value, size, flags, _timestamp) in enumerate(rows):
+                seg_offset = to_offset(addr, flags)
+                if seg_offset < MARKER_BYTES:
+                    if value >= stop_vt:
+                        cut = span_start + index * stride
+                        break
+                    continue
+                if per_record:
+                    faultplan.hit("timewarp.rollback.restore", cycle=proc.now)
+                    write(seg_offset, value, size)
+                    proc.compute(APPLY_RECORD_CYCLES)
+                else:
+                    write(seg_offset, value, size)
+                applied += 1
+            if cut is not None:
+                break
+        if charge and applied and not per_record:
+            proc.compute(applied * APPLY_RECORD_CYCLES)
+        return (log.append_offset if cut is None else cut), applied
 
 
 class CheckpointedLVMSaver(LVMStateSaver):
@@ -349,12 +375,7 @@ class CheckpointedLVMSaver(LVMStateSaver):
         self._events_since_snapshot = 0
 
     def rollback(self, vt: int) -> None:
-        if vt < self.checkpoint_time:
-            raise RollbackError(
-                f"cannot roll back to {vt}: checkpoint is at "
-                f"{self.checkpoint_time} (rollback before GVT is never "
-                "needed, section 2.4)"
-            )
+        self._check_rollback_target(vt)
         # Snapshots after the target are of undone futures; drop them.
         snapshots = self._snapshots
         while snapshots and snapshots[-1][0] > vt:
@@ -381,22 +402,8 @@ class CheckpointedLVMSaver(LVMStateSaver):
         proc.compute(bcopy_cost_cycles(proc.machine.config, len(image)))
 
         # 2. Roll forward only the records since the snapshot.
-        cut_offset = self.log.append_offset
-        for offset, record in self.log.records_with_offsets(start=snap_offset):
-            seg_offset = self._to_offset(record)
-            if seg_offset < MARKER_BYTES:
-                if record.value >= vt:
-                    cut_offset = offset
-                    break
-                continue
-            faultplan.hit("timewarp.rollback.restore", cycle=proc.now)
-            self.working.write(seg_offset, record.value, record.size)
-            proc.compute(APPLY_RECORD_CYCLES)
-            self.rollforward_records += 1
-
         # 3. Discard the undone suffix of the log.
-        self.log.rewind(cut_offset)
-        self._last_marker = None
+        self._roll_forward(snap_offset, vt)
 
     def advance_checkpoint(self, gvt: int, charge: bool | None = None) -> None:
         super().advance_checkpoint(gvt, charge)

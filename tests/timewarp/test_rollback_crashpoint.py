@@ -10,6 +10,7 @@ from repro.core.context import boot, set_current_machine
 from repro.faults import CrashPoint, FaultPlan, installed
 from repro.hw.params import MachineConfig
 from repro.timewarp import PholdModel, SequentialSimulation, TimeWarpSimulation
+from repro.timewarp.state_saving import LVMStateSaver
 
 MODEL_ARGS = dict(num_objects=6, population=6, max_delay=5, seed=42)
 END_TIME = 60
@@ -30,14 +31,14 @@ def _run_with_plan(saver, plan):
             latency_cycles=LATENCY,
         )
         if plan is None:
-            return sim.run()
+            return sim, sim.run()
         with installed(plan):
-            return sim.run()
+            return sim, sim.run()
     finally:
         set_current_machine(None)
 
 
-@pytest.mark.parametrize("saver", ["copy", "lvm"])
+@pytest.mark.parametrize("saver", ["copy", "lvm", "lvm-snap"])
 def test_crash_during_rollback_restore_then_clean_rerun(saver):
     # Count pass: how many per-object restore steps does this
     # configuration perform?  The latency is chosen to guarantee some.
@@ -57,6 +58,26 @@ def test_crash_during_rollback_restore_then_clean_rerun(saver):
     # behind that could skew the optimistic execution — it still equals
     # the sequential reference event-for-event and state-for-state.
     seq = SequentialSimulation(PholdModel(**MODEL_ARGS), END_TIME).run()
-    res = _run_with_plan(saver, None)
+    _, res = _run_with_plan(saver, None)
     assert res.events_committed == seq.events_processed
     assert res.final_state == seq.final_state
+
+
+def test_snapshot_rollforward_hits_restore_site_per_record(monkeypatch):
+    # The snapshot saver falls back to the plain saver's rollback when no
+    # snapshot is usable; the restore hits outside those calls come from
+    # the snapshot roll-forward, which must also hit once per record.
+    plan = FaultPlan()
+    plain_hits = []
+    plain = LVMStateSaver.rollback
+
+    def counting(self, vt):
+        before = plan.counts["timewarp.rollback.restore"]
+        plain(self, vt)
+        plain_hits.append(plan.counts["timewarp.rollback.restore"] - before)
+
+    monkeypatch.setattr(LVMStateSaver, "rollback", counting)
+    sim, _ = _run_with_plan("lvm-snap", plan)
+    replayed = sum(sched.saver.rollforward_records for sched in sim.schedulers)
+    assert plan.counts["timewarp.rollback.restore"] == replayed
+    assert replayed > sum(plain_hits) > 0
