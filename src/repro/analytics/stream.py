@@ -90,12 +90,11 @@ class LogTap:
             self.rewinds += 1
             self._cursor = tail
             return 0
-        # byte_spans clamps a cursor the log was truncated past: the
-        # reclaimed range is no longer part of the retained stream.
-        # Column decode without per-record Python: each span holds whole
-        # records of little-endian words (addr, value, size|flags<<16,
-        # timestamp, then the extended format's old value and PC), so
-        # column views give whole fields at once and the folds see only
+        # Spans start at the truncation point when the log was truncated
+        # past the cursor, and skip the extended format's page padding,
+        # so the joined bytes are whole records of little-endian words
+        # (addr, value, size|flags<<16, timestamp[, old value, PC]):
+        # column views give each field at once, and the folds see only
         # per-page aggregates.
         data = b"".join(chunk for _offset, chunk in log.byte_spans(cursor))
         self._cursor = tail

@@ -29,8 +29,8 @@ from repro.hw.params import LOG_RECORD_SIZE
 _STRUCT = struct.Struct("<IIHHI")
 _EXT_STRUCT = struct.Struct("<IIHHIII")
 
-#: The 16-byte record layout, exposed for hot paths that pack records
-#: inline (field order: addr, value, size, flags, timestamp).
+#: The 16-byte record layout, exposed for hot paths that pack or unpack
+#: records inline (field order: addr, value, size, flags, timestamp).
 RECORD_STRUCT = _STRUCT
 
 #: Flag bit: the address field holds a virtual address (on-chip logger).
