@@ -62,13 +62,12 @@ class LogBasedProtocol(WriteSharedProtocol):
         """Drain the log and transmit each record as an update."""
         proc = self.writer.proc
         self.writer.proc.machine.sync(proc.cpu)
-        updates: list[tuple[int, bytes]] = []
-        for record in self.log.records():
-            offset = self._view.offset_of(record)
-            updates.append(
-                (offset, (record.value & (2 ** (8 * record.size) - 1)).to_bytes(record.size, "little"))
-            )
-            proc.compute(PER_RECORD_CYCLES)
+        updates = [
+            (offset, (value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+            for offset, value, size in self._view.updates()
+        ]
+        if updates:
+            proc.compute(len(updates) * PER_RECORD_CYCLES)
         self.records_sent += len(updates)
         self.transmit(updates)
         self.log.truncate()

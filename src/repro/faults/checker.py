@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.errors import LVMError
 from repro.backends.ramdisk import RamDisk
-from repro.rvm.wal import EntryKind, WriteAheadLog
+from repro.rvm.wal import WriteAheadLog
 
 
 class CrashCheckFailure(LVMError, AssertionError):
@@ -106,20 +106,11 @@ def recover(snapshot: DurableSnapshot) -> RecoveredState:
     disk = RamDisk(len(snapshot.disk_bytes))
     disk.poke(0, snapshot.disk_bytes)
     wal = WriteAheadLog(disk, base=snapshot.wal_base, capacity=snapshot.wal_capacity)
-    entries = wal.scan_recover()
-    committed = frozenset(e.tid for e in entries if e.kind is EntryKind.COMMIT)
-    images = {img.name: bytearray(img.data) for img in snapshot.images}
-    by_id = {img.seg_id: img.name for img in snapshot.images}
-    for entry in entries:
-        if entry.kind is not EntryKind.WRITE or entry.tid not in committed:
-            continue
-        name = by_id.get(entry.seg_id)
-        if name is None:
-            continue
-        images[name][entry.offset : entry.offset + len(entry.data)] = entry.data
+    images = {img.seg_id: bytearray(img.data) for img in snapshot.images}
+    committed = wal.recover(images)
     return RecoveredState(
-        images={name: bytes(data) for name, data in images.items()},
-        committed_tids=committed,
+        images={img.name: bytes(images[img.seg_id]) for img in snapshot.images},
+        committed_tids=frozenset(committed),
         valid_log_bytes=wal.tail,
     )
 

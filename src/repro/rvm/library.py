@@ -221,18 +221,22 @@ class RecoverableLibrary:
         # medium first, and the barrier pins every logged entry stable
         # before the images absorb it.
         self.disk.barrier(proc.cpu)
-        by_id = {r.seg_id: r for r in self.segments.values()}
-        entries = list(self.wal.committed_writes())
+        entries = self.wal.committed_writes()
         if entries:
             # Read the log back from the disk (one I/O) and apply it.
             self.disk.read(proc.cpu, self.wal.base, self.wal.tail)
-        for entry in entries:
-            rseg = by_id.get(entry.seg_id)
-            if rseg is None:
-                continue
-            faultplan.hit("rvm.truncate.apply", cycle=proc.now)
-            rseg.disk_image[entry.offset : entry.offset + len(entry.data)] = entry.data
-            proc.compute(TRUNCATE_PER_RANGE_CYCLES)
+        images = {r.seg_id: r.disk_image for r in self.segments.values()}
+        applied = [e for e in entries if e.seg_id in images]
+        fp = faultplan._ACTIVE
+        for entry in applied:
+            if fp is not None:
+                # A fault plan sees every entry at its own cycle; without
+                # one, a single charge covers the loop (compute adds).
+                faultplan.hit("rvm.truncate.apply", cycle=proc.now)
+                proc.compute(TRUNCATE_PER_RANGE_CYCLES)
+            images[entry.seg_id][entry.offset : entry.offset + len(entry.data)] = entry.data
+        if fp is None and applied:
+            proc.compute(len(applied) * TRUNCATE_PER_RANGE_CYCLES)
         faultplan.hit("rvm.truncate.applied", cycle=proc.now)
         # Persist the new log head (one I/O), then reclaim the space.
         self.wal.reset(proc.cpu)
@@ -278,12 +282,7 @@ class RecoverableLibrary:
         # The in-memory tail died with the crash: rediscover the durable
         # tail by scanning (tolerates a torn final entry), then replay
         # committed transactions onto the durable images.
-        self.wal.scan_recover()
-        images = {r.seg_id: r.disk_image for r in self.segments.values()}
-        for entry in self.wal.committed_writes():
-            image = images.get(entry.seg_id)
-            if image is not None:
-                image[entry.offset : entry.offset + len(entry.data)] = entry.data
+        self.wal.recover({r.seg_id: r.disk_image for r in self.segments.values()})
         self.wal.reset()
         for rseg in self.segments.values():
             # ``map`` takes the usable size, without any control bytes.

@@ -16,20 +16,21 @@ WRITE payload: u32 tid, u16 seg_id, u32 offset, u16 nbytes, data bytes.
 BEGIN/COMMIT/ABORT payload: u32 tid.
 
 The payload CRC makes torn appends detectable: a crash that lands a
-frame's header on the disk but not its payload leaves stale or zero
-bytes where the payload should be, which would otherwise decode as a
-plausible entry (e.g. a COMMIT of transaction 0).  Recovery rejects
-any frame whose payload fails its CRC.
+frame's header but not its payload leaves stale or zero bytes that
+would otherwise decode as a plausible entry (e.g. a COMMIT of
+transaction 0).  The log is also *self-terminating*: every append
+places a zeroed header (kind 0) just past its last frame, in the same
+device write, and :meth:`WriteAheadLog.reset` durably zeroes the log
+head *before* the space is reclaimed.  So a recovery scan, which cannot
+trust the in-memory ``tail`` (it dies with the power), stops exactly at
+the last durable frame and never runs into stale frames of a previous
+generation, which would resurrect already-truncated transactions.
 
-The log is *self-terminating*: every append places a zeroed header
-(kind 0) just past its last frame, in the same device write, and
-:meth:`WriteAheadLog.reset` durably zeroes the log head *before* the
-space is reclaimed for new entries.  Recovery cannot trust the
-in-memory ``tail`` (it dies with the power), so :meth:`scan_recover`
-rediscovers the durable tail by scanning from the head — the
-terminator guarantees the scan stops exactly at the last durable frame
-and can never run into stale frames of a previous log generation,
-which would resurrect already-truncated transactions.
+One scanner decodes the log for every reader and checks each frame's
+framing and CRC once: :meth:`WriteAheadLog.entries` (truncation) raises
+at an invalid frame below ``tail``, :meth:`WriteAheadLog.scan_recover`
+(recovery) stops at the first one, and :func:`split_committed` is the
+one "WRITE entries of committed transactions, in log order" filter.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 from repro import probe
 from repro.backends.base import LogDevice
@@ -67,9 +67,23 @@ class EntryKind(enum.IntEnum):
     ABORT = 4
 
 
-@dataclass(frozen=True)
-class WalEntry:
-    """One decoded log entry."""
+#: kind byte -> kind; any other byte (the terminator's 0 too) is invalid
+_KINDS = {int(kind): kind for kind in EntryKind}
+
+#: First device read of a recovery scan, which does not know the tail.
+_SCAN_WINDOW = 64 * 1024
+
+
+def _frame(kind: EntryKind, payload: bytes) -> bytes:
+    return _HEADER.pack(len(payload), kind, zlib.crc32(payload)) + payload
+
+
+def _write_frame(tid: int, seg_id: int, offset: int, data: bytes) -> bytes:
+    return _frame(EntryKind.WRITE, _WRITE_HEAD.pack(tid, seg_id, offset, len(data)) + data)
+
+
+class WalEntry(NamedTuple):
+    """One decoded log entry (a tuple: a scan builds one per frame)."""
 
     kind: EntryKind
     tid: int
@@ -92,7 +106,7 @@ class WriteAheadLog:
     # Appending (timed)
     # ------------------------------------------------------------------
     def _append(self, cpu: CPU, kind: EntryKind, payload: bytes) -> None:
-        frame = _HEADER.pack(len(payload), kind, zlib.crc32(payload)) + payload
+        frame = _frame(kind, payload)
         if self.tail + len(frame) + len(_TERMINATOR) > self.capacity:
             raise RecoveryError("write-ahead log is full; truncate first")
         if faultplan._ACTIVE is not None:
@@ -128,8 +142,7 @@ class WriteAheadLog:
     def append_write(
         self, cpu: CPU, tid: int, seg_id: int, offset: int, data: bytes
     ) -> None:
-        payload = _WRITE_HEAD.pack(tid, seg_id, offset, len(data)) + data
-        self._append(cpu, EntryKind.WRITE, payload)
+        self._append(cpu, EntryKind.WRITE, _WRITE_HEAD.pack(tid, seg_id, offset, len(data)) + data)
 
     def append_writes(
         self, cpu: CPU, tid: int, writes: list[tuple[int, int, bytes]]
@@ -139,21 +152,8 @@ class WriteAheadLog:
             # An empty group is a no-op, exactly like append_transactions:
             # no I/O, no cycles, no append accounting.
             return
-        parts = []
-        first_len = 0
-        for seg_id, offset, data in writes:
-            payload = _WRITE_HEAD.pack(tid, seg_id, offset, len(data)) + data
-            parts.append(
-                _HEADER.pack(len(payload), EntryKind.WRITE, zlib.crc32(payload))
-            )
-            parts.append(payload)
-            if not first_len:
-                first_len = _HEADER.size + len(payload)
-        frames = b"".join(parts)
-        if self.tail + len(frames) + len(_TERMINATOR) > self.capacity:
-            raise RecoveryError("write-ahead log is full; truncate first")
-        self._group_write(cpu, frames, first_len)
-        self.appends += 1
+        frames = [_write_frame(tid, *write) for write in writes]
+        self._group_write(cpu, b"".join(frames), len(frames[0]))
         sp = probe._ACTIVE
         if sp is not None:
             sp.observe("rvm.wal.group_entries", len(writes))
@@ -167,29 +167,14 @@ class WriteAheadLog:
         its WRITE entries followed by a COMMIT entry, all in a single
         group I/O — the amortisation that makes lazy commit cheap.
         """
-        parts = []
-        first_txn_len = 0
-        for tid, writes in txns:
-            for seg_id, offset, data in writes:
-                payload = _WRITE_HEAD.pack(tid, seg_id, offset, len(data)) + data
-                parts.append(
-                    _HEADER.pack(len(payload), EntryKind.WRITE, zlib.crc32(payload))
-                )
-                parts.append(payload)
-            payload = _TID.pack(tid)
-            parts.append(
-                _HEADER.pack(len(payload), EntryKind.COMMIT, zlib.crc32(payload))
-            )
-            parts.append(payload)
-            if not first_txn_len:
-                first_txn_len = sum(len(p) for p in parts)
-        frames = b"".join(parts)
-        if not frames:
+        batches = [
+            b"".join([_write_frame(tid, *write) for write in writes])
+            + _frame(EntryKind.COMMIT, _TID.pack(tid))
+            for tid, writes in txns
+        ]
+        if not batches:
             return
-        if self.tail + len(frames) + len(_TERMINATOR) > self.capacity:
-            raise RecoveryError("write-ahead log is full; truncate first")
-        self._group_write(cpu, frames, first_txn_len)
-        self.appends += 1
+        self._group_write(cpu, b"".join(batches), len(batches[0]))
         sp = probe._ACTIVE
         if sp is not None:
             sp.observe(
@@ -200,6 +185,8 @@ class WriteAheadLog:
     def _group_write(self, cpu: CPU, frames: bytes, first_len: int) -> None:
         """One group I/O for ``frames``; torn mode keeps only the first
         ``first_len`` bytes (a crash mid-way through the group write)."""
+        if self.tail + len(frames) + len(_TERMINATOR) > self.capacity:
+            raise RecoveryError("write-ahead log is full; truncate first")
         if faultplan._ACTIVE is not None:
             base = self.base + self.tail
             faultplan.hit(
@@ -213,6 +200,7 @@ class WriteAheadLog:
             sp.stage_open("wal.append_group", start, cpu.index)
         self.disk.write(cpu, self.base + self.tail, frames + _TERMINATOR)
         self.tail += len(frames)
+        self.appends += 1
         if sp is not None:
             sp.stage_close(
                 "wal.append_group", start, cpu.now, cpu.index, len(frames), first_len
@@ -241,80 +229,103 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------------
     # Scanning (untimed: used at recovery and by truncation logic)
+    #
+    # One scanner, :meth:`_scan`, holds the only definition of a valid
+    # frame: its header and payload fit the scanned range, its kind is
+    # known, its payload passes the CRC, and its length is exactly the
+    # payload its kind defines.  :meth:`entries` raises at the first
+    # invalid frame; :meth:`scan_recover` stops there.
     # ------------------------------------------------------------------
-    def entries(self) -> Iterator[WalEntry]:
-        """Decode entries in append order."""
+    def _scan(self, limit: int, window: int) -> tuple[list[WalEntry], int]:
+        """Decode the valid frames in ``[0, limit)``, peeking ``window``
+        bytes first and doubling as far as the frames reach.  Returns
+        them and the offset of the first invalid frame (else ``limit``)."""
+        unpack_header, unpack_write = _HEADER.unpack_from, _WRITE_HEAD.unpack_from
+        data, view, have = self._extend(b"", window, limit)
+        entries: list[WalEntry] = []
+        append = entries.append
         pos = 0
-        while pos < self.tail:
-            if pos + _HEADER.size > self.tail:
-                raise RecoveryError("truncated entry header in WAL")
-            length, kind, crc = _HEADER.unpack_from(
-                self.disk.peek(self.base + pos, _HEADER.size)
-            )
-            pos += _HEADER.size
-            if pos + length > self.tail:
-                raise RecoveryError("truncated entry payload in WAL")
-            payload = self.disk.peek(self.base + pos, length)
-            if zlib.crc32(payload) != crc:
-                raise RecoveryError("WAL entry payload fails its CRC")
-            pos += length
-            yield self._decode(EntryKind(kind), payload)
+        while pos < limit:
+            body = pos + _HEADER.size
+            if body > have:
+                if body > limit:
+                    break
+                data, view, have = self._extend(data, body, limit)
+            length, code, crc = unpack_header(view, pos)
+            kind, end = _KINDS.get(code), body + length
+            if kind is None or end > limit:
+                break
+            if end > have:
+                data, view, have = self._extend(data, end, limit)
+            if zlib.crc32(view[body:end]) != crc:
+                break
+            if kind is not EntryKind.WRITE:
+                if length != _TID.size:
+                    break
+                append(WalEntry(kind, _TID.unpack_from(view, body)[0]))
+            else:
+                if length < _WRITE_HEAD.size:
+                    break
+                tid, seg_id, offset, nbytes = unpack_write(view, body)
+                if nbytes != length - _WRITE_HEAD.size:
+                    break
+                append(WalEntry(kind, tid, seg_id, offset, data[end - nbytes : end]))
+            pos = end
+        return entries, pos
+
+    def _extend(self, data: bytes, need: int, limit: int) -> tuple[bytes, memoryview, int]:
+        """``data`` grown by one peek to ``need`` bytes or double, capped at ``limit``."""
+        have = len(data)
+        data += self.disk.peek(self.base + have, min(limit, max(need, 2 * have)) - have)
+        return data, memoryview(data), len(data)
+
+    def entries(self) -> list[WalEntry]:
+        """Decode the entries below ``tail``, in append order.
+
+        Raises :class:`RecoveryError` if any frame below ``tail`` is
+        invalid: the in-memory tail vouches for every byte below it.
+        """
+        entries, end = self._scan(self.tail, self.tail)
+        if end != self.tail:
+            raise RecoveryError(f"torn or corrupt WAL frame at log offset {end}")
+        return entries
 
     def scan_recover(self) -> list[WalEntry]:
         """Rediscover the durable tail by scanning from the log head.
 
         After a crash the in-memory ``tail`` is gone; the only truth is
-        the bytes on the RAM disk.  The scan walks frames from the head
+        the bytes on the device.  The scan walks frames from the head
         and stops at the first invalid one — the append-time terminator
         for a clean tail, or garbage/zeroes where a torn write cut an
         entry short (that entry never became durable and is discarded,
         per standard WAL recovery semantics).  Sets ``tail`` to the
         valid durable prefix and returns its decoded entries.
         """
-        entries: list[WalEntry] = []
-        pos = 0
-        while pos + _HEADER.size <= self.capacity:
-            length, kind, crc = _HEADER.unpack_from(
-                self.disk.peek(self.base + pos, _HEADER.size)
-            )
-            if kind < EntryKind.BEGIN or kind > EntryKind.ABORT:
-                break
-            if pos + _HEADER.size + length > self.capacity:
-                break
-            payload = self.disk.peek(self.base + pos + _HEADER.size, length)
-            if zlib.crc32(payload) != crc:
-                break  # torn append: header durable, payload garbage
-            if EntryKind(kind) is EntryKind.WRITE:
-                if length < _WRITE_HEAD.size:
-                    break
-                nbytes = _WRITE_HEAD.unpack_from(payload)[3]
-                if nbytes != length - _WRITE_HEAD.size:
-                    break  # frame length and payload disagree: torn
-            elif length != _TID.size:
-                break
-            entries.append(self._decode(EntryKind(kind), payload))
-            pos += _HEADER.size + length
-        self.tail = pos
+        entries, self.tail = self._scan(self.capacity, _SCAN_WINDOW)
         return entries
 
-    @staticmethod
-    def _decode(kind: EntryKind, payload: bytes) -> WalEntry:
-        if kind is EntryKind.WRITE:
-            tid, seg_id, offset, nbytes = _WRITE_HEAD.unpack_from(payload)
-            data = payload[_WRITE_HEAD.size : _WRITE_HEAD.size + nbytes]
-            if len(data) != nbytes:
-                raise RecoveryError("WRITE entry data length mismatch")
-            return WalEntry(kind, tid, seg_id, offset, data)
-        (tid,) = _TID.unpack_from(payload)
-        return WalEntry(kind, tid)
+    def recover(self, images: dict[int, bytearray]) -> set[int]:
+        """:meth:`scan_recover`, then redo the committed writes onto
+        ``images`` (seg_id -> durable image).  Returns the committed tids."""
+        tids, writes = split_committed(self.scan_recover())
+        for entry in writes:
+            image = images.get(entry.seg_id)
+            if image is not None:
+                image[entry.offset : entry.offset + len(entry.data)] = entry.data
+        return tids
 
     def committed_tids(self) -> set[int]:
         """Transaction ids with a COMMIT entry in the log."""
-        return {e.tid for e in self.entries() if e.kind is EntryKind.COMMIT}
+        return split_committed(self.entries())[0]
 
-    def committed_writes(self) -> Iterator[WalEntry]:
+    def committed_writes(self) -> list[WalEntry]:
         """WRITE entries of committed transactions, in log order."""
-        committed = self.committed_tids()
-        for entry in self.entries():
-            if entry.kind is EntryKind.WRITE and entry.tid in committed:
-                yield entry
+        return split_committed(self.entries())[1]
+
+
+def split_committed(entries: list[WalEntry]) -> tuple[set[int], list[WalEntry]]:
+    """The committed tids of decoded ``entries``, and the WRITE entries
+    of those transactions in log order — what truncation and recovery
+    apply to the disk images."""
+    tids = {e.tid for e in entries if e.kind is EntryKind.COMMIT}
+    return tids, [e for e in entries if e.kind is EntryKind.WRITE and e.tid in tids]

@@ -1,6 +1,8 @@
 """Robustness tests: WAL corruption handling and a stress workload."""
 
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,8 +30,6 @@ class TestWalCorruption:
             list(wal.entries())
 
     def test_data_length_mismatch_detected(self, machine, proc):
-        import struct
-
         disk = RamDisk(1 << 16)
         wal = WriteAheadLog(disk)
         # Hand-craft a WRITE entry claiming more data than present.
@@ -39,6 +39,42 @@ class TestWalCorruption:
         wal.tail = len(frame)
         with pytest.raises(RecoveryError):
             list(wal.entries())
+
+    @staticmethod
+    def _frame(kind: int, payload: bytes) -> bytes:
+        return struct.pack("<IBI", len(payload), kind, zlib.crc32(payload)) + payload
+
+    def test_write_frame_longer_than_its_data_rejected(self, machine, proc):
+        """Two bytes trail the data: the frame length and the WRITE
+        header's nbytes disagree, so the frame is torn everywhere."""
+        disk = RamDisk(1 << 16)
+        wal = WriteAheadLog(disk)
+        wal.append_commit(proc.cpu, 1)
+        good = wal.tail
+        frame = self._frame(EntryKind.WRITE, struct.pack("<IHIH", 1, 0, 0, 4) + b"abcd" + b"zz")
+        disk.poke(good, frame + b"\x00" * 9)
+        wal.tail = good + len(frame)
+        with pytest.raises(RecoveryError):
+            wal.entries()
+        with pytest.raises(RecoveryError):
+            wal.committed_writes()
+        assert [e.kind for e in wal.scan_recover()] == [EntryKind.COMMIT]
+        assert wal.tail == good
+
+    def test_unknown_kind_rejected(self, machine, proc):
+        disk = RamDisk(1 << 16)
+        wal = WriteAheadLog(disk)
+        wal.append_commit(proc.cpu, 1)
+        good = wal.tail
+        frame = self._frame(9, struct.pack("<I", 2))
+        disk.poke(good, frame + b"\x00" * 9)
+        wal.tail = good + len(frame)
+        with pytest.raises(RecoveryError):
+            wal.entries()
+        with pytest.raises(RecoveryError):
+            wal.committed_tids()
+        assert [e.tid for e in wal.scan_recover()] == [1]
+        assert wal.tail == good
 
     @settings(max_examples=25, deadline=None)
     @given(
