@@ -29,7 +29,7 @@ generation, which would resurrect already-truncated transactions.
 One scanner decodes the log for every reader and checks each frame's
 framing and CRC once: :meth:`WriteAheadLog.entries` (truncation) raises
 at an invalid frame below ``tail``, :meth:`WriteAheadLog.scan_recover`
-(recovery) stops at the first one, and :func:`split_committed` is the
+(recovery) stops at the first one, and ``_split_committed`` is the
 one "WRITE entries of committed transactions, in log order" filter.
 """
 
@@ -307,7 +307,7 @@ class WriteAheadLog:
     def recover(self, images: dict[int, bytearray]) -> set[int]:
         """:meth:`scan_recover`, then redo the committed writes onto
         ``images`` (seg_id -> durable image).  Returns the committed tids."""
-        tids, writes = split_committed(self.scan_recover())
+        tids, writes = _split_committed(self.scan_recover())
         for entry in writes:
             image = images.get(entry.seg_id)
             if image is not None:
@@ -316,14 +316,14 @@ class WriteAheadLog:
 
     def committed_tids(self) -> set[int]:
         """Transaction ids with a COMMIT entry in the log."""
-        return split_committed(self.entries())[0]
+        return _split_committed(self.entries())[0]
 
     def committed_writes(self) -> list[WalEntry]:
         """WRITE entries of committed transactions, in log order."""
-        return split_committed(self.entries())[1]
+        return _split_committed(self.entries())[1]
 
 
-def split_committed(entries: list[WalEntry]) -> tuple[set[int], list[WalEntry]]:
+def _split_committed(entries: list[WalEntry]) -> tuple[set[int], list[WalEntry]]:
     """The committed tids of decoded ``entries``, and the WRITE entries
     of those transactions in log order — what truncation and recovery
     apply to the disk images."""
