@@ -1,10 +1,9 @@
-"""Shared helpers for the evaluation benchmarks.
+"""Shared helpers for the feature benchmarks.
 
-Each ``bench_*.py`` file regenerates one table or figure of the paper's
-section 4 (or an ablation).  The benchmarks measure *simulated machine
-cycles* — the unit the paper reports — and print the paper-comparable
-rows/series; pytest-benchmark wall times only measure the harness
-itself.
+Each ``bench_*.py`` file gates one subsystem beyond the paper (bulk
+engine, backends, analytics, replay seek, instrumentation overhead,
+deep lint) and writes a ``BENCH_*.json``.  The paper's own tables and
+figures are generated by ``python -m repro paper`` (:mod:`repro.paper`).
 
 Run everything with::
 
@@ -97,9 +96,3 @@ def print_header(title: str, paper: str) -> None:
     print(f"{title}")
     print(f"paper reference: {paper}")
     print("=" * 72)
-
-
-def print_series(label: str, xs, ys, xfmt="{}", yfmt="{:.2f}") -> None:
-    print(f"\n{label}")
-    for x, y in zip(xs, ys):
-        print(f"  {xfmt.format(x):>10}  {yfmt.format(y)}")

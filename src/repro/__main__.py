@@ -1,4 +1,4 @@
-"""Package entry point: ``python -m repro [trace ...]``.
+"""Package entry point: ``python -m repro [COMMAND ...]``.
 
 With no arguments, boots the simulated ParaDiGM machine, runs the
 paper's section 2.2 example, and prints a short tour of what is in the
@@ -12,9 +12,10 @@ sanitizer (see :mod:`repro.sanitize.cli`),
 concurrent asyncio clients against one recoverable machine over a
 chosen log backend (see :mod:`repro.serve.cli`), and
 ``python -m repro analyze`` runs the online log-stream analytics in
-``report`` or ``watch`` mode (see :mod:`repro.analytics.cli`), and
+``report`` or ``watch`` mode (see :mod:`repro.analytics.cli`),
 ``python -m repro obs postmortem`` loads a crash-forensics bundle
-(see :mod:`repro.obs.postmortem`).
+(see :mod:`repro.obs.postmortem`), and ``python -m repro paper``
+regenerates the paper's tables and figures (see :mod:`repro.paper`).
 """
 
 import importlib
@@ -57,7 +58,7 @@ def demo() -> int:
     print(f"\nmachine time: {machine.time()} cycles")
     print("\ntry the examples/ directory, `pytest tests/`, "
           "`python -m repro trace rvm`, and "
-          "`pytest benchmarks/ --benchmark-only -s`")
+          "`python -m repro paper`")
     return 0
 
 
@@ -70,6 +71,7 @@ COMMANDS = {
     "serve": ("repro.serve.cli", "main"),
     "analyze": ("repro.analytics.cli", "main"),
     "obs": ("repro.obs.cli", "obs_main"),
+    "paper": ("repro.paper", "main"),
 }
 
 

@@ -5,7 +5,7 @@ expected case": instead of copying, the implementation checks each
 page's dirty bit and, for dirty pages only, invalidates the modified
 cache lines and resets their source addresses.  The cost model below
 charges exactly those steps; Figure 9 of the paper (reproduced by
-``benchmarks/bench_fig9_deferred_copy.py``) compares it against
+the ``fig9`` entry of :mod:`repro.paper`) compares it against
 ``bcopy`` as the fraction of dirty data varies.
 """
 

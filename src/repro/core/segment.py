@@ -69,11 +69,6 @@ class SegmentPage:
         """Per-page dirty bit (checked first by the reset, section 3.3)."""
         return self.dc_dirty_mask != 0
 
-    @property
-    def dc_dirty_line_count(self) -> int:
-        """Number of modified lines on this page."""
-        return self.dc_dirty_mask.bit_count()
-
     def mark_dirty(self, offset: int, size: int) -> None:
         """Mark the lines overlapping ``[offset, offset+size)`` dirty."""
         first = offset // LINE_SIZE
@@ -147,10 +142,6 @@ class Segment:
     def resident_pages(self) -> int:
         """Number of pages with frames allocated."""
         return len(self._pages)
-
-    def frame_of_page(self, index: int) -> Frame:
-        """Return the frame backing page ``index`` (allocating it)."""
-        return self.page(index).frame
 
     # ------------------------------------------------------------------
     # Deferred copy (sections 2.3 / 3.3, Table 1)

@@ -120,6 +120,13 @@ def run_traced_serve(
     return obs, tracker, result
 
 
+def _write_metrics(path, machine, obs) -> None:
+    with open(path, "w") as fh:
+        json.dump(snapshot_machine(machine, obs), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"metrics  : {path}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro trace",
@@ -156,14 +163,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--metrics-out",
         default=None,
-        help="also write the metrics snapshot JSON here",
-    )
-    parser.add_argument(
-        "--metrics-json",
-        default=None,
         metavar="PATH",
-        help="dump the final MetricsRegistry snapshot (counters, gauges, "
-        "histograms) as JSON alongside the trace",
+        help="also write the final metrics snapshot (counters, gauges, "
+        "histograms) as JSON here",
     )
     parser.add_argument(
         "--no-profile",
@@ -199,11 +201,8 @@ def main(argv=None) -> int:
         print("open it at https://ui.perfetto.dev or chrome://tracing")
         print()
         print(tracker.report())
-        if args.metrics_json:
-            with open(args.metrics_json, "w") as fh:
-                json.dump(obs.metrics.snapshot(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"registry : {args.metrics_json}")
+        if args.metrics_out:
+            _write_metrics(args.metrics_out, result["machine"], obs)
         return 0
 
     if args.workload is None:
@@ -226,17 +225,7 @@ def main(argv=None) -> int:
     print("open it at https://ui.perfetto.dev or chrome://tracing")
 
     if args.metrics_out:
-        snap = snapshot_machine(machine, obs)
-        with open(args.metrics_out, "w") as fh:
-            json.dump(snap, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"metrics  : {args.metrics_out}")
-
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as fh:
-            json.dump(obs.metrics.snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"registry : {args.metrics_json}")
+        _write_metrics(args.metrics_out, machine, obs)
 
     if obs.profiler is not None:
         print()

@@ -52,12 +52,6 @@ class TimeWarpResult:
     saver_name: str
     overloads: int = 0
 
-    @property
-    def rollback_fraction(self) -> float:
-        if self.events_processed == 0:
-            return 0.0
-        return self.events_rolled_back / self.events_processed
-
 
 def make_saver(kind: str) -> StateSaver:
     """Build a state saver by name ('copy', 'lvm', 'lvm-snap', or

@@ -1,5 +1,5 @@
 """CLI satellites: ``python -m repro analyze`` and the trace CLI's
-``--metrics-json`` registry dump (with counter-track validation)."""
+``--metrics-out`` registry dump (with counter-track validation)."""
 
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ class TestTraceMetricsJson:
                     "copy",
                     "--out",
                     str(tmp_path / "trace.json"),
-                    "--metrics-json",
+                    "--metrics-out",
                     str(registry),
                     "--no-profile",
                 ]
@@ -72,7 +72,7 @@ class TestTraceMetricsJson:
             == 0
         )
         printed = capsys.readouterr().out
-        assert f"registry : {registry}" in printed
+        assert f"metrics  : {registry}" in printed
 
         snap = json.loads(registry.read_text())
         assert {"counters", "gauges", "histograms"} <= set(snap)
@@ -85,6 +85,16 @@ class TestTraceMetricsJson:
         assert validate_trace(doc) == len(doc["traceEvents"])
         counters = [ev for ev in doc["traceEvents"] if ev["ph"] == "C"]
         assert any(ev["name"] == "machine.cycles" for ev in counters)
+
+    def test_serve_honours_metrics_out(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics_serve.json"
+        argv = ["--serve", "--clients", "2", "--txns", "1", "--out", str(tmp_path / "t.json")]
+        assert trace_main(argv + ["--metrics-out", str(metrics)]) == 0
+        assert f"metrics  : {metrics}" in capsys.readouterr().out
+
+        snap = json.loads(metrics.read_text())
+        assert {"counters", "gauges", "histograms"} <= set(snap)
+        assert snap["gauges"]["hw.cpu.stores"] > 0
 
 
 class TestValidateTraceCounterEvents:
