@@ -3,18 +3,51 @@
 Acceptance shape: the count-the-sites pass enumerates every injection
 point the workload reaches, then one run per ``(site, nth, mode)``
 crashes there and the recovered state must satisfy the ACID model.  The
-fixed-seed sweeps pin coverage (>= 30 distinct injection points across
-the RamDisk / WAL / FIFO / commit families); the hypothesis sweep
-randomizes the workload script itself.
+fixed-seed sweeps pin coverage exactly (the spec totals per library
+and commit mode, and RLVM's per-site hit counts), so a site that stops
+reaching the plan fails here; the hypothesis sweep randomizes the
+workload script itself.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import BACKENDS, make_backend
-from repro.faults.sweep import SWEEP_DEVICE_BYTES, sweep
+from repro.faults.plan import FaultPlan
+from repro.faults.sweep import DEFAULT_SCRIPT, SWEEP_DEVICE_BYTES, run_script, sweep
 from repro.rvm.rlvm import RLVM
 from repro.rvm.rvm import RVM
+
+#: Crash specs the count pass enumerates on DEFAULT_SCRIPT, per
+#: (library, group commit); the same on every log device.
+SPEC_TOTALS = {
+    (RVM, False): 81,
+    (RLVM, False): 119,
+    (RVM, True): 72,
+    (RLVM, True): 110,
+}
+
+#: RLVM's count pass on DEFAULT_SCRIPT over the default RAM disk: how
+#: often each injection site is hit.
+RLVM_SITE_COUNTS = {
+    "backend.barrier": 2,
+    "backend.flush": 8,
+    "fifo.push": 19,
+    "logger.dma": 19,
+    "ramdisk.write": 9,
+    "rvm.abort": 1,
+    "rvm.commit.begin": 5,
+    "rvm.commit.buffered": 2,
+    "rvm.commit.durable": 3,
+    "rvm.commit.log": 3,
+    "rvm.flush": 1,
+    "rvm.truncate.applied": 2,
+    "rvm.truncate.apply": 9,
+    "rvm.truncate.begin": 2,
+    "wal.append": 3,
+    "wal.append_group": 4,
+    "wal.reset": 2,
+}
 
 
 class TestFixedSeedSweep:
@@ -35,14 +68,22 @@ class TestFixedSeedSweep:
         assert report.families >= min_families
         # >= 30 distinct injection points (site, nth), not just modes.
         assert len({(s.site, s.nth) for s in report.fired}) >= 30
-        assert len(report.fired) >= 30
+        assert len(report.specs) == len(report.fired) == SPEC_TOTALS[backend_cls, False]
+
+    def test_count_pass_hits_every_site_exactly(self):
+        plan = FaultPlan(seed=1995)
+        result = run_script(RLVM, DEFAULT_SCRIPT, plan)
+        assert result.crash is None
+        assert dict(plan.counts) == RLVM_SITE_COUNTS
+        assert plan.torn_capable == {"wal.append", "wal.append_group"}
 
     @pytest.mark.parametrize("device", sorted(BACKENDS))
     def test_backend_matrix_every_device_is_acid_clean(self, device):
         """Satellite matrix: each log device, synchronous and
         group-committed, under both libraries — every reachable crash
         point recovers clean, and the per-device total clears the
-        acceptance floor of 180 crash points."""
+        acceptance floor of 180 crash points, and each run enumerates
+        exactly its pinned spec total."""
         fired_points = 0
         for backend_cls in (RVM, RLVM):
             for group_commit in (False, True):
@@ -60,8 +101,10 @@ class TestFixedSeedSweep:
                 # The explicit flush/barrier calls put the backend
                 # family on every sweep path.
                 assert "backend" in report.families
+                assert len(report.specs) == SPEC_TOTALS[backend_cls, group_commit]
                 fired_points += len(report.fired)
         assert fired_points >= 180
+        assert fired_points == sum(SPEC_TOTALS.values())
 
     def test_sweep_with_write_reordering(self):
         """A two-deep unflushed device window: recovery stays atomic

@@ -1,7 +1,8 @@
 """Instrumented == bare: every probe-spine subscriber is free.
 
 Each canned workload runs once bare, then once per configuration: each
-subscriber attached alone, then all five together.  Machine cycles,
+subscriber attached alone, then all of them together.  The fault plan
+never crashes here: it counts site hits and must change nothing else.  Machine cycles,
 the hardware log's record bytes and (for the serve runs) acks,
 latencies, WAL entries and the durable device bytes must equal the
 bare run exactly.  A liveness check per subscriber makes sure it was
@@ -16,6 +17,7 @@ from contextlib import ExitStack
 import pytest
 
 from repro.analytics import stream as anstream
+from repro.faults import plan as faultplan
 from repro.obs import causal, flight as obsflight
 from repro.obs import core as obscore
 from repro.obs.profiler import CycleProfiler
@@ -64,9 +66,10 @@ SUBSCRIBERS = {
     "flight": (obsflight.installed, obsflight.FlightRecorder),
     "analytics": (anstream.installed, anstream.AnalyticsHub),
     "race": (race.installed, race.LogRaceDetector),
+    "faults": (faultplan.installed, faultplan.FaultPlan),
 }
-ALL_FIVE = ("obs-traced", "causal", "flight", "analytics", "race")
-CONFIGS = [(kind,) for kind in SUBSCRIBERS] + [ALL_FIVE]
+ALL = ("obs-traced", "causal", "flight", "analytics", "race", "faults")
+CONFIGS = [(kind,) for kind in SUBSCRIBERS] + [ALL]
 
 
 def _run(workload: str) -> dict:
@@ -118,6 +121,8 @@ def _assert_live(kind: str, sub, workload: str, result: dict) -> None:
         assert not sub.open_stages, sub.summary()
         if workload in ("copy", "timewarp"):
             assert sub.writes_checked > 0 and sub.races_seen == 0
+    elif kind == "faults":
+        assert sub.counts and not sub.fired
     elif kind.startswith("obs"):
         counters = sub.metrics.snapshot()["counters"]
         assert counters
@@ -154,7 +159,7 @@ def test_instrumented_run_equals_bare(workload, config):
     assert _fingerprint(workload, result) == bare
     for kind, sub in subs.items():
         _assert_live(kind, sub, workload, result)
-    if config == ALL_FIVE and result.get("log") is not None:
+    if config == ALL and result.get("log") is not None:
         # The hub's gauges reach the span layer through the spine.
         gauges = subs["obs-traced"].metrics.snapshot()["gauges"]
         assert any(name.startswith("analytics.") for name in gauges)
