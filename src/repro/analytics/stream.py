@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import probe
-from repro.faults import plan as faultplan
 from repro.hw.params import PAGE_SIZE
 from repro.analytics.core import (
     DEFAULT_HEAT_HALF_LIFE,
@@ -255,7 +254,7 @@ def _rebuild_site(cycle: int | None = None) -> None:
     re-fold, advisor re-seed) funnels through here so a crash sweep can
     interrupt recovery itself.
     """
-    faultplan.hit("analytics.rebuild", cycle=cycle)
+    probe.hit("analytics.rebuild", cycle=cycle)
 
 
 def rebuild_tap(

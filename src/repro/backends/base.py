@@ -35,9 +35,10 @@ the crash-consistency sweep drives every backend identically.
 
 from __future__ import annotations
 
+import mmap
+
 from repro import probe
 from repro.errors import AddressError
-from repro.faults import plan as faultplan
 from repro.hw.cpu import CPU
 
 #: Transfer block size for cost accounting.
@@ -51,7 +52,7 @@ def flush_point(cpu: CPU) -> None:
     buffered appends were about to reach the medium: nothing buffered
     is durable.
     """
-    faultplan.hit("backend.flush", cycle=cpu.now)
+    probe.hit("backend.flush", cycle=cpu.now)
 
 
 def barrier_point(device: "LogDevice", cpu: CPU) -> None:
@@ -61,10 +62,10 @@ def barrier_point(device: "LogDevice", cpu: CPU) -> None:
     longer be reordered away by a crash: the plan's unflushed window
     for the device drains.
     """
-    faultplan.hit("backend.barrier", cycle=cpu.now)
-    fp = faultplan._ACTIVE
-    if fp is not None:
-        fp.disk_barrier(device)
+    sp = probe._ACTIVE
+    if sp is not None:
+        sp.hit("backend.barrier", cpu.now)
+        sp.disk_barrier(device)
 
 
 class LogDevice:
@@ -90,7 +91,10 @@ class LogDevice:
         self.size = size
         self.op_overhead_cycles = op_overhead_cycles
         self.per_block_cycles = per_block_cycles
-        self._data = bytearray(size)
+        # An anonymous mapping reads as zeros and gets host pages only
+        # when written, so a large device costs no host time to create
+        # (a bytearray zero-fills every page up front).
+        self._data = mmap.mmap(-1, size)
         self.write_ops = 0
         self.read_ops = 0
         self.bytes_written = 0
@@ -120,14 +124,12 @@ class LogDevice:
         """Durable write of ``data`` at ``offset``; charges ``cpu``."""
         if offset < 0 or offset + len(data) > self.size:
             raise AddressError(f"{self.name} device write out of range")
-        fp = faultplan._ACTIVE
-        if fp is not None:
-            # May raise CrashPoint (optionally after a torn prefix or
-            # the full write reached the platter) and tracks the
-            # unflushed reorder window.
-            fp.disk_write(self, cpu, offset, data)
         sp = probe._ACTIVE
         if sp is not None:
+            # A fault plan may raise CrashPoint here (optionally after a
+            # torn prefix or the full write reached the platter) and
+            # tracks the unflushed reorder window.
+            sp.disk_write(self, cpu, offset, data)
             start = cpu.now
             sp.stage_open("device.write", start, cpu.index)
         self._data[offset : offset + len(data)] = data
@@ -141,11 +143,9 @@ class LogDevice:
         """Read ``length`` bytes at ``offset``; charges ``cpu``."""
         if offset < 0 or offset + length > self.size:
             raise AddressError(f"{self.name} device read out of range")
-        fp = faultplan._ACTIVE
-        if fp is not None:
-            fp.disk_read(self)  # a timed read is a write barrier
         sp = probe._ACTIVE
         if sp is not None:
+            sp.disk_barrier(self)  # a timed read is a write barrier
             start = cpu.now
             sp.stage_open("device.read", start, cpu.index)
         self.read_ops += 1

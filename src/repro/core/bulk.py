@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 from repro import probe
 from repro.errors import ProtectionError
-from repro.faults import plan as faultplan
 from repro.hw.bus import BusWrite
 from repro.hw.logger import LogMode
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
@@ -42,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_MASK = PAGE_SIZE - 1
-_UNSET = object()
 _INFINITY = float("inf")
 
 
@@ -285,7 +283,7 @@ def _write_run_bus_logged(
     if cpu.l2 is not None or len(snoopers) != 1 or snoopers[0] is not logger:
         return False
     sp = probe._ACTIVE
-    if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
+    if sp is not None and sp.detail:
         # The fused loop bypasses the instrumented FIFO/logger paths:
         # fault plans need every record to visit the injection sites,
         # and per-word trace spans live on the generic paths.

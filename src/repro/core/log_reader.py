@@ -159,8 +159,10 @@ class LogFollower:
 
     @property
     def backlog_bytes(self) -> int:
-        """Bytes appended but not yet consumed."""
-        return max(0, self.view.log.append_offset - self._cursor)
+        """Bytes appended but not yet consumed; bytes the producer has
+        truncated away are gone, not pending."""
+        log = self.view.log
+        return max(0, log.append_offset - max(self._cursor, log.start_offset))
 
     def synchronize(self) -> list[LogRecord]:
         """Sync with the end of the log (producer handoff point).

@@ -6,8 +6,9 @@ See :mod:`repro.faults.plan` for the injection machinery,
 (``python -m repro.faults.sweep``).
 """
 
-# plan has no repro dependencies beyond errors; instrumented hardware
-# modules import it directly, so it must load first and eagerly.
+# plan depends only on repro.probe and repro.errors, so it loads
+# eagerly; instrumented modules reach an installed plan through the
+# probe spine and never import this package.
 from repro.faults.plan import (
     SITE_DISK_WRITE,
     SITE_FIFO_PUSH,
@@ -15,7 +16,6 @@ from repro.faults.plan import (
     CrashSpec,
     FaultPlan,
     active,
-    hit,
     install,
     installed,
     uninstall,
@@ -57,7 +57,6 @@ __all__ = [
     "CrashSpec",
     "FaultPlan",
     "active",
-    "hit",
     "install",
     "installed",
     "uninstall",

@@ -10,11 +10,13 @@ optional torn-write and write-reordering behaviour for the durable
 store, in the spirit of rr's chaos mode (deterministic schedules that
 *look* adversarial but replay exactly).
 
-Instrumented modules (``backends/base.py``, ``rvm/wal.py``,
-``rvm/library.py``, ``rvm/rvm.py``, ``rvm/rlvm.py``, ``hw/fifo.py``,
-``hw/logger.py``, ``timewarp/state_saving.py``) call the module-level hooks, which are
-no-ops unless a plan is installed — the unfaulted hot paths pay one
-``is None`` check.
+A plan is the ``faults`` subscriber of the probe spine
+(:mod:`repro.probe`): instrumented modules reach it only through spine
+events (``probe.hit(site, ...)`` at the named sites, ``disk_write``,
+``disk_barrier`` and ``fifo_push`` on the device and FIFO paths), so an
+unfaulted, uninstrumented run pays the spine's one ``is None`` check.
+A plan sets the spine's ``detail`` flag: every record takes the generic
+paths, where the sites are.
 
 A triggered fault raises :class:`CrashPoint`.  The exception carries a
 snapshot of *durable* state only (RAM disk bytes, segment disk images)
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -112,6 +113,10 @@ class FaultPlan:
     object run over the same deterministic workload produces the same
     crash, byte for byte.  ``repr(plan)`` reconstructs the plan.
     """
+
+    #: Every record must visit the injection sites on the generic
+    #: paths, so the fused fast loops stand aside while a plan is on.
+    detail = True
 
     def __init__(
         self,
@@ -201,8 +206,16 @@ class FaultPlan:
         self._observers.append(fn)
 
     # ------------------------------------------------------------------
-    # Instrumentation entry points
+    # Instrumentation entry points (probe-spine events)
     # ------------------------------------------------------------------
+    def probes(self) -> dict:
+        return {
+            "hit": self.hit,
+            "disk_write": self.disk_write,
+            "disk_barrier": self.disk_barrier,
+            "fifo_push": self.fifo_push,
+        }
+
     def hit(
         self,
         site: str,
@@ -264,25 +277,21 @@ class FaultPlan:
             while len(self._window) > self.reorder_window:
                 self._window.popleft()  # flushed: can no longer be lost
 
-    def disk_read(self, disk) -> None:
-        """Hook called by :meth:`LogDevice.read`: a timed device read is
-        a write barrier — the unflushed window drains first.
-
-        Without this, truncation could ingest log entries via its
-        read-back, apply them to the segment images, and then have the
-        very same entries reverted out of the device window at the
-        crash, leaving recovery to replay a *partial* old log over
-        newer images.  Requiring reads to stabilise the bytes they
-        return is the weakest device assumption under which the
-        libraries' read-then-apply-then-reset protocol stays sound.
-        """
-        self.disk_barrier(disk)
-
     def disk_barrier(self, disk) -> None:
-        """Hook called by :meth:`LogDevice.barrier` (and by timed
-        reads): every write ``disk`` has already accepted becomes
-        stable — its entries leave the unflushed reorder window, so a
-        later crash can no longer revert them."""
+        """Hook called by :meth:`LogDevice.barrier` and by every timed
+        :meth:`LogDevice.read`: every write ``disk`` has already
+        accepted becomes stable — its entries leave the unflushed
+        reorder window, so a later crash can no longer revert them.
+
+        A timed read is a barrier because otherwise truncation could
+        ingest log entries via its read-back, apply them to the segment
+        images, and then have the very same entries reverted out of the
+        device window at the crash, leaving recovery to replay a
+        *partial* old log over newer images.  Requiring reads to
+        stabilise the bytes they return is the weakest device
+        assumption under which the libraries' read-then-apply-then-reset
+        protocol stays sound.
+        """
         if self._window:
             self._window = deque(e for e in self._window if e[0] is not disk)
 
@@ -361,41 +370,5 @@ class FaultPlan:
         )
 
 
-# ----------------------------------------------------------------------
-# The installed plan (module-global; hot paths check ``_ACTIVE is None``)
-# ----------------------------------------------------------------------
-_ACTIVE: FaultPlan | None = None
-
-
-def active() -> FaultPlan | None:
-    """The currently installed plan, or None."""
-    return _ACTIVE
-
-
-def install(plan: FaultPlan) -> FaultPlan:
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ConfigError("a FaultPlan is already installed")
-    _ACTIVE = plan
-    return plan
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(plan: FaultPlan):
-    """Install ``plan`` for the duration of the block."""
-    install(plan)
-    try:
-        yield plan
-    finally:
-        uninstall()
-
-
-def hit(site: str, cycle: int | None = None, partial=None) -> None:
-    """Module-level site hook: no-op unless a plan is installed."""
-    if _ACTIVE is not None:
-        _ACTIVE.hit(site, cycle, partial)
+#: The installed plan is the spine's ``faults`` subscriber.
+active, install, uninstall, installed = probe.registry("faults", FaultPlan)

@@ -13,8 +13,8 @@ import enum
 from collections import deque
 from typing import Generic, Iterator, TypeVar
 
+from repro import probe
 from repro.errors import ConfigError
-from repro.faults import plan as faultplan
 
 T = TypeVar("T")
 
@@ -81,14 +81,14 @@ class HardwareFifo(Generic[T]):
         :attr:`overflow_count` — log records are lost), and
         :attr:`PushResult.OK` otherwise.
         """
-        fp = faultplan._ACTIVE
-        if fp is not None and fp.fifo_push(self, cycle=ready_cycle):
+        sp = probe._ACTIVE
+        if sp is not None and sp.fifo_push(self, ready_cycle):
             # Forced drop: the record is lost exactly as a hard-capacity
             # overflow would lose it (no crash — silent data loss).
             self.overflow_count += 1
             return PushResult.OVERFLOW
         if len(self._entries) >= self.capacity:
-            faultplan.hit("fifo.overflow", cycle=ready_cycle)
+            probe.hit("fifo.overflow", cycle=ready_cycle)
             self.overflow_count += 1
             return PushResult.OVERFLOW
         self._entries.append((ready_cycle, item))

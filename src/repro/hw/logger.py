@@ -30,7 +30,6 @@ import enum
 from typing import Protocol
 
 from repro import probe
-from repro.faults import plan as faultplan
 from repro.hw.bus import BusWrite, SystemBus
 from repro.hw.clock import Clock
 from repro.hw.fifo import HardwareFifo, PushResult
@@ -279,7 +278,7 @@ class Logger:
         entries = self.write_fifo._entries
         service = self.config.logger_service_cycles
         sp = probe._ACTIVE
-        if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
+        if sp is not None and sp.detail:
             # Injection sites and trace spans live on the generic path;
             # route every record through _process so "logger.dma" fires
             # per record (cycle charges are identical either way).
@@ -405,7 +404,7 @@ class Logger:
 
     def _handle_overload(self, now: int) -> None:
         """FIFO crossed the threshold: interrupt and drain (section 3.1.3)."""
-        faultplan.hit("logger.overload", cycle=now)
+        probe.hit("logger.overload", cycle=now)
         self.stats.overload_events += 1
         drain_complete = self.flush()
         sp = probe._ACTIVE
@@ -488,7 +487,7 @@ class Logger:
             payload = (write.value & 0xFFFFFFFF).to_bytes(4, "little")
 
         # A crash here loses a record that was latched but not yet DMA'd.
-        faultplan.hit("logger.dma", cycle=complete_cycle)
+        probe.hit("logger.dma", cycle=complete_cycle)
         dma_done = self.bus.acquire(complete_cycle, self.config.log_dma_bus_cycles)
         sp = probe._ACTIVE
         if sp is not None:

@@ -8,10 +8,9 @@ about to counters, histograms and trace spans.
 Cycle exactness under tracing: the two fused fast loops
 (``bulk._write_run_bus_logged`` and ``Logger._drain_fast``) bypass the
 per-record generic code where trace spans live.  An Observability with
-a tracer sets the spine's ``detail`` flag, and they fall back to the
-exact generic paths — the same mechanism fault plans use — so an
-enabled trace observes a run that is cycle-identical to the untraced
-one.  Metrics-only observability keeps the fast paths (its counters
+a tracer sets the spine's ``detail`` flag, as an attached fault plan
+does, and they fall back to the exact generic paths, so an enabled
+trace observes a run that is cycle-identical to the untraced one.  Metrics-only observability keeps the fast paths (its counters
 are polled or batched) and is also cycle-identical; the overhead bench
 guards both properties.
 """

@@ -11,26 +11,31 @@ every instrumented site makes one typed probe call behind one gate::
 The call names the event and carries its cycles, CPU and payload; it
 knows nothing about who listens.  ``_ACTIVE`` is None until a
 subscriber attaches, so the disabled cost is one load and one identity
-test per site.  Each subscriber (metrics and spans, flight ring, causal
-tracker, analytics hub, race detector) maps the events it handles to
-callables in ``probes()``.  Every attach or detach builds a fresh
-:class:`Spine` that binds each event of :data:`EVENTS` once: to a no-op
-when nobody subscribes, to the one handler directly, or to a fan-out.
+test per site.  Each subscriber (metrics and spans, causal tracker,
+flight ring, analytics hub, race detector, fault plan) maps the events
+it handles to callables in ``probes()``.  Every attach or detach builds
+a fresh :class:`Spine` that binds each event of :data:`EVENTS` once: to
+a no-op when nobody subscribes, to the one handler directly, or to a
+fan-out.
 
 Stages that bracket work (WAL append, device write, flush, barrier,
 commit) are a ``stage_open``/``stage_close`` pair on one gate local,
 the site keeping the start cycle; a CrashPoint in between leaves the
 stage open on purpose, as the postmortem's record.  ``Spine.detail``
 is set while a subscriber needs every record on the generic paths (a
-tracer), so the fused fast loops fall back on one condition::
+tracer, or a fault plan whose sites live there), so the fused fast
+loops fall back on one condition::
 
-    if faultplan._ACTIVE is not None or (sp is not None and sp.detail):
+    if sp is not None and sp.detail:
         return False
 
-Fault injection stays a separate call (``faults.plan.hit`` can raise
-CrashPoint and write torn prefixes).  No subscriber advances a clock or
-touches simulated state, so cycles, log records and recovered bytes are
-identical with any set attached.
+A fault-injection site is one ``hit`` event (the :func:`hit` forwarder
+keeps it one line).  Only the fault plan handles it, with
+``disk_write``, ``disk_barrier`` and ``fifo_push``, and only the plan
+may raise CrashPoint or write torn prefixes.  No subscriber advances a
+clock or touches simulated state (a plan only once it fires), so
+cycles, log records and recovered bytes are identical with any set
+attached.
 """
 
 from __future__ import annotations
@@ -60,12 +65,13 @@ EVENTS = frozenset({
     # trace context; only the causal tracker subscribes to it)
     "open_request", "dispatch", "dispatch_done", "dispatch_abandoned",
     "adopt_batch", "park", "finish", "acked", "drop",
-    # faults
+    # faults: the plan's injection hooks, then what it reports
+    "hit", "disk_write", "disk_barrier", "fifo_push",
     "fault_hit", "fault_crash",
 })
 
 #: Subscriber kinds in dispatch order.
-KINDS = ("obs", "causal", "flight", "analytics", "race")
+KINDS = ("obs", "causal", "flight", "analytics", "race", "faults")
 
 
 def _ignore(*args) -> None:
@@ -128,6 +134,14 @@ class Spine:
 #: The only instrumentation gate: None while nothing is attached.
 _ACTIVE: Spine | None = None
 _SUBSCRIBERS: dict = {}
+
+
+def hit(site: str, cycle: int | None = None, partial=None) -> None:
+    """A fault-injection site: a no-op unless a fault plan is attached,
+    whose ``hit`` may then raise CrashPoint (see ``faults.plan``)."""
+    sp = _ACTIVE
+    if sp is not None:
+        sp.hit(site, cycle, partial)
 
 
 def _rebind(subscribers: dict) -> None:

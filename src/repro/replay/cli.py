@@ -23,6 +23,7 @@ from repro.core.context import boot, set_current_machine
 from repro.core.log_segment import LogSegment
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
+from repro.faults.sites import ALL_SITES
 from repro.hw.params import MachineConfig
 from repro.replay.crashpoint import replay_to_crash, verify_crash_replay
 from repro.replay.divergence import record_reference, replay_against
@@ -202,8 +203,9 @@ def _crash(args) -> int:
     if args.bundle is not None:
         return _crash_bundle(args.bundle)
 
-    # The site comes from argv; an unknown name fails at run time with
-    # "never fired" rather than at lint time.
+    # The site comes from argv, so argparse's choices check it against
+    # the registry instead of lint; a known site the script never
+    # reaches fails below with "never fired".
     plan = FaultPlan(
         seed=args.seed,
         crash=CrashSpec(args.site, args.nth, args.mode),  # lvm-san: ignore[LVM005]
@@ -252,7 +254,9 @@ def main(argv=None) -> int:
 
     p_crash = sub.add_parser("crash", help="replay a crash from its plan repr")
     p_crash.add_argument("--seed", type=int, default=0)
-    p_crash.add_argument("--site", default="rvm.commit.durable")
+    p_crash.add_argument(
+        "--site", default="rvm.commit.durable", choices=sorted(ALL_SITES), metavar="SITE"
+    )
     p_crash.add_argument("--nth", type=int, default=1)
     p_crash.add_argument("--mode", default="before")
     p_crash.add_argument(

@@ -29,8 +29,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from repro import probe
 from repro.errors import LoggingError
-from repro.faults import plan as faultplan
 from repro.core.log_reader import RegionLogView
 from repro.core.log_segment import LogSegment
 from repro.core.region import Region
@@ -172,7 +172,7 @@ class ReplayEngine:
             )
         self._build_checkpoints_to(n_writes)
         base_pos = self._store.nearest(n_writes)
-        faultplan.hit("replay.restore", cycle=self.machine.time())
+        probe.hit("replay.restore", cycle=self.machine.time())
         state = self._store.materialize(base_pos)
         for write in writes[base_pos:n_writes]:
             _apply(state, write)
@@ -275,7 +275,7 @@ class ReplayEngine:
                 for line in range(first_line, last_line + 1):
                     self._sweep_dirty_lines.add(line)
             self._sweep_pos = target
-            faultplan.hit("replay.checkpoint", cycle=self.machine.time())
+            probe.hit("replay.checkpoint", cycle=self.machine.time())
             self._store.capture(
                 target,
                 self._sweep_state,

@@ -29,7 +29,6 @@ from repro.errors import TransactionError
 from repro.core.process import Process
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
-from repro.faults import plan as faultplan
 from repro.backends.base import LogDevice
 from repro.backends.ramdisk import RamDisk
 from repro.rvm.wal import WriteAheadLog
@@ -151,7 +150,7 @@ class RecoverableLibrary:
             # overtake a buffered predecessor would replay an older
             # value over a newer one.
             self.flush()
-            faultplan.hit("rvm.commit.log", cycle=proc.now)
+            probe.hit("rvm.commit.log", cycle=proc.now)
             if writes:
                 self.wal.append_writes(proc.cpu, tid, writes)
             self.wal.append_commit(proc.cpu, tid)
@@ -159,10 +158,10 @@ class RecoverableLibrary:
             # flush; a synchronous commit may not acknowledge before
             # they are stable (free on the synchronous devices).
             self.disk.flush(proc.cpu)
-            faultplan.hit("rvm.commit.durable", cycle=proc.now)
+            probe.hit("rvm.commit.durable", cycle=proc.now)
         else:
             proc.compute(NO_FLUSH_COMMIT_CYCLES)
-            faultplan.hit("rvm.commit.buffered", cycle=proc.now)
+            probe.hit("rvm.commit.buffered", cycle=proc.now)
             self._pending.append((tid, writes))
 
     # ------------------------------------------------------------------
@@ -182,7 +181,7 @@ class RecoverableLibrary:
             start = self.proc.now
             sp.stage_open(f"{self.stage}.flush", start, self.proc.cpu.index)
         pending = len(self._pending)
-        faultplan.hit("rvm.flush", cycle=self.proc.now)
+        probe.hit("rvm.flush", cycle=self.proc.now)
         self.wal.append_transactions(self.proc.cpu, self._pending)
         # The flush's contract is durability, so a buffering backend
         # must push its batch now (free on the synchronous devices).
@@ -215,7 +214,7 @@ class RecoverableLibrary:
         if sp is not None:
             start = proc.now
             sp.stage_open(f"{self.stage}.truncate", start, proc.cpu.index)
-        faultplan.hit("rvm.truncate.begin", cycle=proc.now)
+        probe.hit("rvm.truncate.begin", cycle=proc.now)
         # Truncation scans the *durable* log (untimed peeks below), so
         # any batch a buffering backend still holds must reach the
         # medium first, and the barrier pins every logged entry stable
@@ -227,17 +226,17 @@ class RecoverableLibrary:
             self.disk.read(proc.cpu, self.wal.base, self.wal.tail)
         images = {r.seg_id: r.disk_image for r in self.segments.values()}
         applied = [e for e in entries if e.seg_id in images]
-        fp = faultplan._ACTIVE
+        per_record = sp is not None and sp.detail
         for entry in applied:
-            if fp is not None:
-                # A fault plan sees every entry at its own cycle; without
-                # one, a single charge covers the loop (compute adds).
-                faultplan.hit("rvm.truncate.apply", cycle=proc.now)
+            if per_record:
+                # A fault plan sees every entry at its own cycle; on the
+                # fast path one charge covers the loop (compute adds).
+                sp.hit("rvm.truncate.apply", proc.now)
                 proc.compute(TRUNCATE_PER_RANGE_CYCLES)
             images[entry.seg_id][entry.offset : entry.offset + len(entry.data)] = entry.data
-        if fp is None and applied:
+        if not per_record and applied:
             proc.compute(len(applied) * TRUNCATE_PER_RANGE_CYCLES)
-        faultplan.hit("rvm.truncate.applied", cycle=proc.now)
+        probe.hit("rvm.truncate.applied", cycle=proc.now)
         # Persist the new log head (one I/O), then reclaim the space.
         self.wal.reset(proc.cpu)
         self.disk.flush(proc.cpu)  # the head marker itself must land

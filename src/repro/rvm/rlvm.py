@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from repro import probe
 from repro.errors import LoggingError, TransactionError
 from repro.core.log_reader import RegionLogView
-from repro.faults import plan as faultplan
 from repro.core.log_segment import LogSegment
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
@@ -103,7 +102,7 @@ class RLVMTransaction(LibraryTransaction):
         if sp is not None:
             start = proc.now
             sp.stage_open("rlvm.commit", start, proc.cpu.index)
-        faultplan.hit("rvm.commit.begin", cycle=proc.now)
+        probe.hit("rvm.commit.begin", cycle=proc.now)
         rlvm.machine.sync(proc.cpu)  # wait for in-flight log records
         writes = []
         for rseg in rlvm.segments.values():
@@ -131,7 +130,7 @@ class RLVMTransaction(LibraryTransaction):
         if sp is not None:
             start = proc.now
             sp.stage_open("rlvm.abort", start, proc.cpu.index)
-        faultplan.hit("rvm.abort", cycle=proc.now)
+        probe.hit("rvm.abort", cycle=proc.now)
         rlvm.machine.sync(proc.cpu)
         for rseg in rlvm.segments.values():
             records = rlvm._txn_records(rseg, self.tid)

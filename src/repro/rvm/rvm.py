@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 from repro import probe
 from repro.errors import TransactionError
-from repro.faults import plan as faultplan
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
 from repro.hw.params import LINE_SIZE
@@ -158,7 +157,7 @@ class Transaction(LibraryTransaction):
         if sp is not None:
             start = proc.now
             sp.stage_open("rvm.commit", start, proc.cpu.index)
-        faultplan.hit("rvm.commit.begin", cycle=proc.now)
+        probe.hit("rvm.commit.begin", cycle=proc.now)
         writes = []
         for rng in self._ranges:
             proc.compute(COMMIT_PER_RANGE_CYCLES)
@@ -181,7 +180,7 @@ class Transaction(LibraryTransaction):
         if sp is not None:
             start = proc.now
             sp.stage_open("rvm.abort", start, proc.cpu.index)
-        faultplan.hit("rvm.abort", cycle=proc.now)
+        probe.hit("rvm.abort", cycle=proc.now)
         for rng in reversed(self._ranges):
             rng.rseg.segment.write_bytes(rng.offset, rng.old_data)
             blocks = -(-max(rng.length, 1) // LINE_SIZE)

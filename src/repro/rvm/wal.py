@@ -43,7 +43,6 @@ from typing import NamedTuple
 from repro import probe
 from repro.backends.base import LogDevice
 from repro.errors import RecoveryError
-from repro.faults import plan as faultplan
 from repro.hw.cpu import CPU
 
 _HEADER = struct.Struct("<IBI")
@@ -109,17 +108,12 @@ class WriteAheadLog:
         frame = _frame(kind, payload)
         if self.tail + len(frame) + len(_TERMINATOR) > self.capacity:
             raise RecoveryError("write-ahead log is full; truncate first")
-        if faultplan._ACTIVE is not None:
+        sp = probe._ACTIVE
+        if sp is not None:
             # Torn mode: the entry header reaches the disk, the payload
             # does not — the classic crash between header and payload.
             base = self.base + self.tail
-            faultplan.hit(
-                "wal.append",
-                cycle=cpu.now,
-                partial=lambda: self.disk.poke(base, frame[: _HEADER.size]),
-            )
-        sp = probe._ACTIVE
-        if sp is not None:
+            sp.hit("wal.append", cpu.now, lambda: self.disk.poke(base, frame[: _HEADER.size]))
             start = cpu.now
             sp.stage_open("wal.append", start, cpu.index)
         self.disk.write(cpu, self.base + self.tail, frame + _TERMINATOR)
@@ -187,15 +181,10 @@ class WriteAheadLog:
         ``first_len`` bytes (a crash mid-way through the group write)."""
         if self.tail + len(frames) + len(_TERMINATOR) > self.capacity:
             raise RecoveryError("write-ahead log is full; truncate first")
-        if faultplan._ACTIVE is not None:
-            base = self.base + self.tail
-            faultplan.hit(
-                "wal.append_group",
-                cycle=cpu.now,
-                partial=lambda: self.disk.poke(base, frames[:first_len]),
-            )
         sp = probe._ACTIVE
         if sp is not None:
+            base = self.base + self.tail
+            sp.hit("wal.append_group", cpu.now, lambda: self.disk.poke(base, frames[:first_len]))
             start = cpu.now
             sp.stage_open("wal.append_group", start, cpu.index)
         self.disk.write(cpu, self.base + self.tail, frames + _TERMINATOR)
@@ -221,7 +210,7 @@ class WriteAheadLog:
         """
         marker = min(_HEAD_MARKER_BYTES, self.capacity)
         if cpu is not None:
-            faultplan.hit("wal.reset", cycle=cpu.now)
+            probe.hit("wal.reset", cycle=cpu.now)
             self.disk.write(cpu, self.base, b"\x00" * marker)
         else:
             self.disk.poke(self.base, b"\x00" * marker)

@@ -199,7 +199,11 @@ class FaultSiteRule(Rule):
         return self.known_sites
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        in_faults = ctx.package_parts[:2] == ("repro", "faults")
+        # The plan and the spine's ``hit`` forwarder pass sites through.
+        in_faults = (
+            ctx.package_parts[:2] == ("repro", "faults")
+            or ctx.module_name == "repro.probe"
+        )
         sites = self._sites()
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):

@@ -12,11 +12,12 @@ acknowledged and the serialised commit order matches the WAL — the CI
 serving smoke test.
 
 ``--crash-site SITE`` installs a :class:`FaultPlan` that kills the
-server at the Nth hit of a fault-injection site; ``--postmortem PATH``
-then writes the crash-forensics bundle (flight-recorder tail, metrics,
-in-flight requests, durable digests) that ``python -m repro obs
-postmortem`` loads and ``python -m repro replay crash --bundle``
-replays.
+server at the Nth hit of a fault-injection site (one of
+:data:`repro.faults.sites.ALL_SITES`); the run exits 1 if that crash
+never fires.  ``--postmortem PATH`` then writes the crash-forensics
+bundle (flight-recorder tail, metrics, in-flight requests, durable
+digests) that ``python -m repro obs postmortem`` loads and
+``python -m repro replay crash --bundle`` replays.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.core.context import boot, set_current_machine
 from repro.faults import plan as faultplan
 from repro.faults.checker import capture_snapshot
 from repro.faults.plan import CrashSpec, FaultPlan
+from repro.faults.sites import ALL_SITES
 from repro.hw.params import MachineConfig
 from repro.obs import causal
 from repro.obs import core as obscore
@@ -169,7 +171,11 @@ def main(argv=None) -> int:
         "--smoke", action="store_true", help="assert the run was fully acked (CI)"
     )
     parser.add_argument(
-        "--crash-site", default=None, help="inject a crash at this fault site"
+        "--crash-site",
+        default=None,
+        choices=sorted(ALL_SITES),
+        metavar="SITE",
+        help="inject a crash at this fault site (see repro/faults/sites.py)",
     )
     parser.add_argument(
         "--crash-nth", type=int, default=1, help="crash at the Nth site hit"
@@ -190,8 +196,8 @@ def main(argv=None) -> int:
 
     plan = None
     if args.crash_site is not None:
-        # The site comes from argv; an unknown name fails at run time
-        # with "never fired" rather than at lint time.
+        # The site comes from argv, so argparse's choices check it
+        # against the registry instead of lint.
         plan = FaultPlan(
             seed=args.seed,
             crash=CrashSpec(args.crash_site, args.crash_nth, args.crash_mode),  # lvm-san: ignore[LVM005]
@@ -238,6 +244,9 @@ def main(argv=None) -> int:
         print(f"server crashed: site {crash.site!r} hit #{crash.seq}")
         print(f"  acked durable before the crash: {len(server.acked)} txn(s)")
         print(f"  in flight: {len(server.crash_inflight)} request(s)")
+    elif plan is not None:
+        print(f"FAIL: crash spec {plan.crash} never fired", file=sys.stderr)
+        return 1
 
     if args.postmortem is not None:
         if crash is None:

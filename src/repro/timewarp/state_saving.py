@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro import probe
 from repro.analytics.policy import CheckpointTuner
 from repro.analytics.stream import LogTap
 from repro.errors import RollbackError
-from repro.faults import plan as faultplan
 from repro.core.log_reader import RegionLogView
 from repro.core.log_segment import LogSegment
 from repro.core.region import StdRegion
@@ -136,7 +136,7 @@ class CopyStateSaver(StateSaver):
         proc = self.scheduler.proc
         restored = 0
         while self._saved and self._saved[-1][0] >= vt:
-            faultplan.hit("timewarp.rollback.restore", cycle=proc.now)
+            probe.hit("timewarp.rollback.restore", cycle=proc.now)
             _, local_index, data = self._saved.pop()
             self.working.write_bytes(self.object_offset(local_index), data)
             restored += 1
@@ -276,7 +276,8 @@ class LVMStateSaver(StateSaver):
         Returns that marker's log offset (the append point if none) and
         the number of records applied.  ``charge`` costs
         :data:`APPLY_RECORD_CYCLES` per record.  A rollback passes
-        ``restore``: with a fault plan installed, each record then hits
+        ``restore``: while the spine's ``detail`` flag is set (a fault
+        plan or a tracer attached), each record then hits
         ``timewarp.rollback.restore`` and is charged as it is applied.
         Otherwise one ``compute`` covers all records, which is
         cycle-identical because compute charges are additive.
@@ -286,7 +287,8 @@ class LVMStateSaver(StateSaver):
         stride = log.record_size
         to_offset = self._view.translator()
         write = target.write
-        per_record = restore and faultplan.active() is not None
+        sp = probe._ACTIVE
+        per_record = restore and sp is not None and sp.detail
         applied = 0
         cut = None
         for span_start, rows in log.record_spans(start):
@@ -298,7 +300,7 @@ class LVMStateSaver(StateSaver):
                         break
                     continue
                 if per_record:
-                    faultplan.hit("timewarp.rollback.restore", cycle=proc.now)
+                    sp.hit("timewarp.rollback.restore", proc.now)
                     write(seg_offset, value, size)
                     proc.compute(APPLY_RECORD_CYCLES)
                 else:

@@ -28,19 +28,11 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_fault_plan():
-    """A test that dies mid-injection must not poison its neighbours."""
-    yield
-    from repro.faults import plan as faultplan
-
-    faultplan.uninstall()
-
-
-@pytest.fixture(autouse=True)
 def _no_leaked_subscribers():
-    """Same for any probe-spine subscriber (Observability, flight
-    recorder, causal tracker, analytics hub, race detector): a leaked
-    one would make every later install of its kind raise."""
+    """A test that dies mid-injection or mid-trace must not poison its
+    neighbours: a leaked probe-spine subscriber (fault plan,
+    Observability, flight recorder, causal tracker, analytics hub, race
+    detector) would make every later install of its kind raise."""
     yield
     from repro import probe
 

@@ -127,6 +127,20 @@ class TestLogFollower:
         follower.poll()
         assert follower.backlog_bytes == 0
 
+    def test_backlog_excludes_truncated_records(self, machine, proc):
+        region, log, va = make_logged_region(machine)
+        follower = LogFollower(RegionLogView(region))
+        for i in range(8):
+            proc.write(va + 4 * i, i)
+        machine.quiesce()
+        log.truncate(log.append_offset)  # the producer drops it all
+        assert follower.backlog_bytes == 0
+        assert follower.poll() == []
+        proc.write(va, 9)
+        machine.quiesce()
+        assert follower.backlog_bytes == log.record_size
+        assert [r.value for r in follower.poll()] == [9]
+
     def test_synchronize_lands_inflight_records(self, machine, proc):
         region, log, va = make_logged_region(machine)
         follower = LogFollower(RegionLogView(region))

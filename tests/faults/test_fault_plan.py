@@ -4,6 +4,7 @@ deliberately broken recoveries that the consistency checker must catch.
 
 import pytest
 
+from repro import probe
 from repro.errors import ConfigError
 from repro.faults import CrashPoint, CrashSpec, FaultPlan, installed
 from repro.faults import plan as faultplan
@@ -79,7 +80,7 @@ class TestTriggers:
                 faultplan.install(FaultPlan())
 
     def test_module_hit_is_noop_without_plan(self):
-        faultplan.hit("any.site", cycle=123)  # must not raise
+        probe.hit("any.site", cycle=123)  # must not raise
 
     def test_repr_replays_the_plan(self):
         plan = FaultPlan(seed=9, crash=CrashSpec("wal.append", 3, "torn"))

@@ -104,6 +104,6 @@ class TestCrashCapture:
     def test_fault_hits_recorded_only_under_a_plan(self):
         with obsflight.installed() as fr:
             # No plan installed: hit() is a no-op and records nothing.
-            assert faultplan._ACTIVE is None
-            faultplan.hit("backend.flush", cycle=1)
+            assert faultplan.active() is None
+            probe.hit("backend.flush", cycle=1)
             assert len(fr) == 0

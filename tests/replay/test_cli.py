@@ -31,6 +31,12 @@ class TestReplayCli:
         assert main(["crash", "--site", "rvm.commit.durable", "--nth", "999"]) == 1
         assert "never fired" in capsys.readouterr().err
 
+    def test_crash_site_must_be_registered(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["crash", "--site", "no.such.site"])
+        assert exc.value.code != 0
+        assert "invalid choice: 'no.such.site'" in capsys.readouterr().err
+
     def test_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

@@ -25,6 +25,7 @@ from repro.rvm.rlvm import RLVM
 from repro.rvm.rvm import RVM
 from repro.rvm.wal import EntryKind
 from repro.serve.channel import Channel
+from repro.serve.cli import main as serve_main
 from repro.serve.server import ClientSession, ServeCrashed, TxnServer
 
 SERVE_CONFIG = MachineConfig(memory_bytes=32 * 1024 * 1024)
@@ -247,3 +248,20 @@ class TestCrashDuringServe:
             assert server.acked == []
         finally:
             set_current_machine(None)
+
+
+class TestServeCli:
+    ARGS = ["--clients", "2", "--txns", "1"]
+
+    def test_unknown_crash_site_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            serve_main(["--crash-site", "no.such.site", *self.ARGS])
+        assert exc.value.code != 0
+        assert "invalid choice: 'no.such.site'" in capsys.readouterr().err
+
+    def test_crash_that_never_fires_exits_1(self, capsys):
+        argv = ["--crash-site", "backend.flush", "--crash-nth", "99", *self.ARGS]
+        assert serve_main(argv) == 1
+        captured = capsys.readouterr()
+        assert "served 2/2 commits" in captured.out
+        assert "never fired" in captured.err
