@@ -20,14 +20,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import SegmentError
-from repro.hw.memory import Frame
-from repro.hw.params import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
+from repro.hw.memory import PACK, Frame
+from repro.hw.params import LINE_SIZE, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.hw.machine import Machine
-
-#: Mask with one set bit per line in a page — a fully-dirty page.
-_ALL_LINES_DIRTY = (1 << LINES_PER_PAGE) - 1
 
 
 class SegmentManager:
@@ -62,29 +59,8 @@ class SegmentPage:
     def __init__(self, index: int, frame: Frame) -> None:
         self.index = index
         self.frame = frame
+        #: bit n set = line n written; nonzero = the per-page dirty bit
         self.dc_dirty_mask = 0
-
-    @property
-    def dc_dirty(self) -> bool:
-        """Per-page dirty bit (checked first by the reset, section 3.3)."""
-        return self.dc_dirty_mask != 0
-
-    def mark_dirty(self, offset: int, size: int) -> None:
-        """Mark the lines overlapping ``[offset, offset+size)`` dirty."""
-        first = offset // LINE_SIZE
-        last = (offset + size - 1) // LINE_SIZE
-        for line in range(first, last + 1):
-            self.dc_dirty_mask |= 1 << line
-
-    def line_dirty(self, offset: int) -> bool:
-        """True if the line containing ``offset`` has been written."""
-        return bool(self.dc_dirty_mask >> (offset // LINE_SIZE) & 1)
-
-    def clear_dirty(self) -> int:
-        """Clear all dirty bits; returns how many lines were dirty."""
-        count = self.dc_dirty_mask.bit_count()
-        self.dc_dirty_mask = 0
-        return count
 
 
 class Segment:
@@ -164,7 +140,7 @@ class Segment:
         # Everything written before the source was attached is stale:
         # the semantics are "B appears initialized by A" from this point.
         for page in self._pages.values():
-            page.clear_dirty()
+            page.dc_dirty_mask = 0
 
     # Table-1-style alias.
     sourceSegment = source_segment
@@ -175,7 +151,8 @@ class Segment:
         Returns a :class:`~repro.core.deferred_copy.ResetStats` with the
         page/line counts the timing model charges for.  The semantics
         are those of copying the source over the destination, performed
-        by only clearing dirty state (section 2.3).
+        by only clearing the dirty lines inside the (line-aligned) range
+        (section 2.3).
         """
         from repro.core.deferred_copy import ResetStats
 
@@ -185,41 +162,59 @@ class Segment:
             end = self.size
         if not 0 <= start <= end <= self.size:
             raise SegmentError("reset range out of segment bounds")
+        if start % LINE_SIZE or end % LINE_SIZE:
+            raise SegmentError("reset range must be line aligned")
         stats = ResetStats()
         first_page = start // PAGE_SIZE
         last_page = (end - 1) // PAGE_SIZE if end > start else first_page - 1
         for index in range(first_page, last_page + 1):
             stats.pages_scanned += 1
             page = self._pages.get(index)
-            if page is None or not page.dc_dirty:
+            if page is None or not page.dc_dirty_mask:
                 continue
-            stats.dirty_pages += 1
-            stats.dirty_lines += page.clear_dirty()
+            base = index * PAGE_SIZE
+            lo = max(start - base, 0) // LINE_SIZE
+            hi = min(end - base, PAGE_SIZE) // LINE_SIZE
+            cleared = page.dc_dirty_mask & ((1 << hi) - (1 << lo))
+            if cleared:
+                page.dc_dirty_mask ^= cleared
+                stats.dirty_pages += 1
+                stats.dirty_lines += cleared.bit_count()
         return stats
 
     # ------------------------------------------------------------------
     # Functional (untimed) data access
     # ------------------------------------------------------------------
     def read(self, offset: int, size: int) -> int:
-        """Read an integer, honouring the deferred-copy source."""
-        self._check_range(offset, size)
-        index, in_page = divmod(offset, PAGE_SIZE)
+        """Read an integer (within one page), honouring the source."""
+        in_page = offset % PAGE_SIZE
+        if in_page + size > PAGE_SIZE or not 0 <= offset < self.size:
+            raise self._word_error(offset, size)
+        index = offset // PAGE_SIZE
         page = self._pages.get(index)
-        if self.source is not None and (page is None or not page.line_dirty(in_page)):
-            return self.source.read(self.source_offset + offset, size)
-        if page is None:
+        if self.source is not None:
+            mask = 0 if page is None else page.dc_dirty_mask
+            dirty = mask >> (in_page // LINE_SIZE) & 1
+            if dirty != mask >> ((in_page + size - 1) // LINE_SIZE) & 1:
+                # Straddles a dirty and a clean line: merge per line.
+                return int.from_bytes(self.read_bytes(offset, size), "little")
+            if not dirty:
+                return self.source.read(self.source_offset + offset, size)
+        elif page is None:
             page = self.page(index)
         return page.frame.read(in_page, size)
 
     def write(self, offset: int, value: int, size: int) -> None:
-        """Write an integer; only this segment is affected."""
-        self._check_range(offset, size)
-        index, in_page = divmod(offset, PAGE_SIZE)
-        page = self.page(index)
+        """Write an integer (within one page); only this segment changes."""
+        in_page = offset % PAGE_SIZE
+        if in_page + size > PAGE_SIZE or not 0 <= offset < self.size:
+            raise self._word_error(offset, size)
+        page = self._pages.get(offset // PAGE_SIZE) or self.page(offset // PAGE_SIZE)
         if self.source is not None:
-            self._fill_partial_lines(page, in_page, size)
-            page.mark_dirty(in_page, size)
-        page.frame.write(in_page, value, size)
+            mask = page.dc_dirty_mask
+            if not mask >> (in_page // LINE_SIZE) & mask >> ((in_page + size - 1) // LINE_SIZE) & 1:
+                self._dirty(page, in_page, size)
+        PACK[size].pack_into(page.frame.data, in_page, value & ((1 << 8 * size) - 1))
 
     def read_bytes(self, offset: int, length: int) -> bytes:
         """Read a byte string (may span pages)."""
@@ -249,8 +244,7 @@ class Segment:
             chunk = min(len(data) - pos, PAGE_SIZE - in_page)
             page = self.page(index)
             if self.source is not None:
-                self._fill_partial_lines(page, in_page, chunk)
-                page.mark_dirty(in_page, chunk)
+                self._dirty(page, in_page, chunk)
             page.frame.write_bytes(in_page, data[pos : pos + chunk])
             pos += chunk
 
@@ -265,7 +259,7 @@ class Segment:
         """Byte read on a deferred-copy destination: merge per line."""
         page = self._pages.get(index)
         base = index * PAGE_SIZE
-        if page is None or not page.dc_dirty:
+        if page is None or not page.dc_dirty_mask:
             return self.source.read_bytes(self.source_offset + base + in_page, length)
         first = in_page // LINE_SIZE
         last = (in_page + length - 1) // LINE_SIZE
@@ -283,7 +277,7 @@ class Segment:
         while remaining:
             line_end = (offset // LINE_SIZE + 1) * LINE_SIZE
             chunk = min(remaining, line_end - offset)
-            if page.line_dirty(offset):
+            if page.dc_dirty_mask >> (offset // LINE_SIZE) & 1:
                 out += page.frame.read_bytes(offset, chunk)
             else:
                 out += self.source.read_bytes(
@@ -293,29 +287,26 @@ class Segment:
             remaining -= chunk
         return bytes(out)
 
-    def _fill_partial_lines(self, page: SegmentPage, offset: int, size: int) -> None:
-        """Copy source data into lines about to become partially dirty.
+    def _dirty(self, page: SegmentPage, offset: int, size: int) -> None:
+        """Mark the lines of ``[offset, offset+size)`` in ``page`` dirty.
 
-        A write smaller than a line must not lose the source's bytes in
-        the untouched part of the line — the hardware loads the line
-        from the source before the write (section 3.3 cache model).
-        Lines that are already dirty hold current data and are skipped.
+        A write that covers a clean line only in part must not lose the
+        source's bytes in the rest of that line — the hardware loads the
+        line from the source before the write (section 3.3 cache model).
+        Only the first and last lines can be partly covered, so at most
+        those two are loaded; one OR then sets the span's dirty bits.
         """
-        base = page.index * PAGE_SIZE
-        first = offset // LINE_SIZE
-        last = (offset + size - 1) // LINE_SIZE
-        for line in range(first, last + 1):
-            if page.dc_dirty_mask >> line & 1:
-                continue
-            line_off = line * LINE_SIZE
-            if offset <= line_off and line_off + LINE_SIZE <= offset + size:
-                # The write covers this whole line: filling it from the
-                # source would be overwritten immediately.
-                continue
-            data = self.source.read_bytes(
-                self.source_offset + base + line_off, LINE_SIZE
-            )
-            page.frame.write_bytes(line_off, data)
+        end = offset + size
+        first, last = offset // LINE_SIZE, (end - 1) // LINE_SIZE
+        mask = page.dc_dirty_mask
+        for line, partial in ((first, offset % LINE_SIZE), (last, end % LINE_SIZE)):
+            if partial and not mask >> line & 1:
+                line_off = line * LINE_SIZE
+                page.frame.write_bytes(line_off, self.source.read_bytes(
+                    self.source_offset + page.index * PAGE_SIZE + line_off, LINE_SIZE
+                ))
+                mask |= 1 << line
+        page.dc_dirty_mask = mask | (2 << last) - (1 << first)
 
     def _check_range(self, offset: int, length: int) -> None:
         if offset < 0 or offset + length > self.size:
@@ -323,6 +314,11 @@ class Segment:
                 f"access [{offset}, {offset + length}) outside segment of "
                 f"size {self.size}"
             )
+
+    def _word_error(self, offset: int, size: int) -> SegmentError:
+        """An integer access leaves the segment or spans a page."""
+        return SegmentError(f"integer access [{offset}, {offset + size}) outside one page of "
+                            f"the segment of size {self.size}")
 
 
 class StdSegment(Segment):

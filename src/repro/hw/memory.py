@@ -15,7 +15,8 @@ import struct
 from repro.errors import AddressError, AlignmentError, FrameExhaustedError
 from repro.hw.params import PAGE_SIZE
 
-_PACK = {1: struct.Struct("<B"), 2: struct.Struct("<H"), 4: struct.Struct("<I"), 8: struct.Struct("<Q")}
+#: Little-endian struct for each integer access size (1, 2, 4, 8 bytes).
+PACK = {1: struct.Struct("<B"), 2: struct.Struct("<H"), 4: struct.Struct("<I"), 8: struct.Struct("<Q")}
 
 
 class Frame:
@@ -34,11 +35,11 @@ class Frame:
 
     def read(self, offset: int, size: int) -> int:
         """Read an integer of ``size`` bytes at ``offset`` (little endian)."""
-        return _PACK[size].unpack_from(self.data, offset)[0]
+        return PACK[size].unpack_from(self.data, offset)[0]
 
     def write(self, offset: int, value: int, size: int) -> None:
         """Write an integer of ``size`` bytes at ``offset`` (little endian)."""
-        _PACK[size].pack_into(self.data, offset, value & ((1 << (8 * size)) - 1))
+        PACK[size].pack_into(self.data, offset, value & ((1 << (8 * size)) - 1))
 
     def read_bytes(self, offset: int, length: int) -> bytes:
         return bytes(self.data[offset : offset + length])
@@ -123,7 +124,7 @@ class PhysicalMemory:
 
     @staticmethod
     def _check(paddr: int, size: int) -> None:
-        if size not in _PACK:
+        if size not in PACK:
             raise AlignmentError(f"unsupported access size {size}")
         if paddr % size:
             raise AlignmentError(f"address {paddr:#x} not aligned to {size}")

@@ -156,9 +156,11 @@ def _reset_cycles(m, seg_bytes, dirty_fraction):
     dest.source_segment(source)
     aspace = proc.address_space()
     va = StdRegion(dest).bind(aspace)
-    # Dirty whole pages (every line of each dirty page), untimed setup.
-    for offset in range(0, int(seg_bytes * dirty_fraction), LINE_SIZE):
-        dest.write(offset, 0xD1, 4)
+    # Dirty whole pages (every line of each dirty page), untimed setup:
+    # one write of the bytes a 0xD1 word stored at the start of every
+    # line would leave over the zero source.
+    lines = -(-int(seg_bytes * dirty_fraction) // LINE_SIZE)
+    dest.write_bytes(0, (b"\xd1" + bytes(LINE_SIZE - 1)) * lines)
     t0 = proc.now
     aspace.reset_deferred_copy(va, va + seg_bytes, cpu=proc.cpu)
     return proc.now - t0

@@ -66,6 +66,25 @@ class TestDeferredCopySemantics:
         assert dst.read(0, 4) == src.read(0, 4)
         assert dst.read(PAGE_SIZE, 4) == 222
 
+    def test_sub_page_reset_keeps_writes_outside_its_range(self, machine):
+        src, dst = make_pair(machine)
+        dst.write(0, 111, 4)
+        dst.write(2048, 222, 4)
+        stats = dst.reset_deferred_copy(0, LINE_SIZE)
+        assert (stats.pages_scanned, stats.dirty_pages, stats.dirty_lines) == (1, 1, 1)
+        assert dst.read(0, 4) == src.read(0, 4)
+        assert dst.read(2048, 4) == 222
+        # The page still holds one dirty line, so a second reset finds it.
+        assert dst.reset_deferred_copy(0, PAGE_SIZE).dirty_lines == 1
+        assert dst.read(2048, 4) == src.read(2048, 4)
+
+    def test_reset_bounds_must_be_line_aligned(self, machine):
+        src, dst = make_pair(machine)
+        with pytest.raises(SegmentError):
+            dst.reset_deferred_copy(4, PAGE_SIZE)
+        with pytest.raises(SegmentError):
+            dst.reset_deferred_copy(0, LINE_SIZE + 8)
+
     def test_reset_stats_counts(self, machine):
         src, dst = make_pair(machine, npages=4)
         dst.write(0, 1, 4)
@@ -107,6 +126,23 @@ class TestDeferredCopySemantics:
         dst.write(0, 9, 4)
         dst.source_segment(src)
         assert dst.read(0, 4) == 5
+
+    def test_integer_access_straddling_a_page_rejected(self, machine):
+        src, dst = make_pair(machine)
+        src.write_bytes(PAGE_SIZE - 8, bytes(range(1, 17)))
+        with pytest.raises(SegmentError):
+            dst.write(PAGE_SIZE - 2, 0x11223344, 4)
+        with pytest.raises(SegmentError):
+            dst.read(PAGE_SIZE - 2, 4)
+        # The rejected store left no trace on either page.
+        assert dst.snapshot() == src.snapshot()
+        assert dst.reset_deferred_copy().dirty_lines == 0
+
+    def test_integer_read_across_a_dirty_and_a_clean_line(self, machine):
+        src, dst = make_pair(machine)
+        src.write_bytes(0, bytes(range(1, 33)))
+        dst.write(0, 0xAA, 1)  # dirties line 0 only
+        assert dst.read(LINE_SIZE - 2, 4) == int.from_bytes(bytes([15, 16, 17, 18]), "little")
 
     def test_byte_reads_merge_dirty_and_clean_lines(self, machine):
         src, dst = make_pair(machine)

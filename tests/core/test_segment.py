@@ -39,6 +39,13 @@ class TestSegmentBasics:
         with pytest.raises(SegmentError):
             seg.write(-4, 0, 4)
 
+    def test_integer_access_straddling_a_page_rejected(self, machine):
+        seg = StdSegment(2 * PAGE_SIZE, machine=machine)
+        with pytest.raises(SegmentError):
+            seg.write(PAGE_SIZE - 2, 0x11223344, 4)
+        with pytest.raises(SegmentError):
+            seg.read(PAGE_SIZE - 2, 4)
+
     def test_bytes_span_pages(self, machine):
         seg = StdSegment(2 * PAGE_SIZE, machine=machine)
         data = bytes(range(1, 9))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import TEST_CONFIG
 from repro.core.context import boot, set_current_machine
 from repro.core.segment import StdSegment
-from repro.hw.params import PAGE_SIZE
+from repro.hw.params import LINE_SIZE, PAGE_SIZE
 
 SEG_BYTES = 3 * PAGE_SIZE
 
@@ -90,5 +90,76 @@ def test_property_source_attach_midway(before, after):
             dst.write(4 * word, value, 4)
             shadow[4 * word : 4 * word + 4] = value.to_bytes(4, "little")
         assert dst.snapshot() == bytes(shadow)
+    finally:
+        set_current_machine(None)
+
+
+dc_op_strategy = st.one_of(
+    st.tuples(
+        st.just("write_int"),
+        st.integers(0, SEG_BYTES - 8),
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([1, 2, 4, 8]),
+    ),
+    st.tuples(
+        st.just("write_bytes"),
+        st.integers(0, SEG_BYTES - 1),
+        st.binary(min_size=1, max_size=2 * LINE_SIZE + 8),
+        st.none(),
+    ),
+    st.tuples(
+        st.just("write_bytes"),
+        st.integers(PAGE_SIZE - 3 * LINE_SIZE, PAGE_SIZE + LINE_SIZE),
+        st.binary(min_size=LINE_SIZE, max_size=5 * LINE_SIZE),
+        st.none(),
+    ),
+    st.tuples(
+        st.just("reset"),
+        st.integers(0, SEG_BYTES // LINE_SIZE),
+        st.integers(0, SEG_BYTES // LINE_SIZE),
+        st.none(),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(dc_op_strategy, max_size=40))
+def test_property_deferred_copy_matches_line_shadow(ops):
+    """A deferred-copy destination over a non-zero source agrees with a
+    shadow that tracks its bytes and its set of dirty lines, under any
+    mix of aligned integer writes, unaligned byte writes spanning lines
+    and pages, and line-aligned resets."""
+    machine = boot(TEST_CONFIG)
+    try:
+        src = StdSegment(SEG_BYTES, machine=machine)
+        src.write_bytes(0, bytes((7 * i + 3) % 251 + 1 for i in range(SEG_BYTES)))
+        dst = StdSegment(SEG_BYTES, machine=machine)
+        dst.source_segment(src)
+        source = src.snapshot()
+        shadow = bytearray(source)
+        dirty: set[int] = set()
+        for kind, a, b, size in ops:
+            if kind == "write_int":
+                offset = align(a, size)
+                dst.write(offset, b, size)
+                masked = b & ((1 << (8 * size)) - 1)
+                data = masked.to_bytes(size, "little")
+            elif kind == "write_bytes":
+                offset, data = a, b[: SEG_BYTES - a]
+                dst.write_bytes(offset, data)
+            else:
+                start, end = sorted((a * LINE_SIZE, b * LINE_SIZE))
+                stats = dst.reset_deferred_copy(start, end)
+                cleared = {line for line in dirty if start <= line * LINE_SIZE < end}
+                assert stats.dirty_lines == len(cleared)
+                dirty -= cleared
+                shadow[start:end] = source[start:end]
+                continue
+            shadow[offset : offset + len(data)] = data
+            dirty.update(range(offset // LINE_SIZE, (offset + len(data) - 1) // LINE_SIZE + 1))
+        assert dst.snapshot() == bytes(shadow)
+        assert src.snapshot() == source
+        assert dst.reset_deferred_copy().dirty_lines == len(dirty)
+        assert dst.snapshot() == source
     finally:
         set_current_machine(None)
