@@ -20,8 +20,6 @@ from __future__ import annotations
 import pathlib
 import time
 
-import pytest
-
 from conftest import print_header, write_bench_json
 from repro.analytics import stream as anstream
 from repro.analytics.stream import AnalyticsHub
@@ -51,8 +49,7 @@ def _timed_run(workload):
     return time.perf_counter() - t0, summary
 
 
-@pytest.mark.benchmark(group="obs_overhead")
-def test_disabled_observability_overhead_within_noise(benchmark):
+def test_disabled_observability_overhead_within_noise():
     def run():
         disabled_a, summary_a = _timed_run("copy")
         disabled_b, summary_b = _timed_run("copy")
@@ -66,9 +63,7 @@ def test_disabled_observability_overhead_within_noise(benchmark):
                 summary_a, summary_b, summary_m, metrics)
 
     (disabled_a, disabled_b, metrics_wall,
-     summary_a, summary_b, summary_m, metrics) = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+     summary_a, summary_b, summary_m, metrics) = run()
 
     # Metrics-only must not perturb the simulation at all.
     assert summary_m["cycles"] == summary_a["cycles"] == summary_b["cycles"]
@@ -140,8 +135,7 @@ def _attached_run():
     return wall, summary, hub
 
 
-@pytest.mark.benchmark(group="obs_overhead")
-def test_analytics_attached_overhead_within_noise(benchmark):
+def test_analytics_attached_overhead_within_noise():
     def run():
         from repro.analytics.stream import rebuild_tap
 
@@ -160,9 +154,7 @@ def test_analytics_attached_overhead_within_noise(benchmark):
             fold_walls.append(time.perf_counter() - t0)
         return disabled, attached, min(fold_walls)
 
-    disabled, attached, fold_wall = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    disabled, attached, fold_wall = run()
     summary_a = disabled[0][1]
     _, summary_h, hub = attached[0]
 
@@ -250,8 +242,7 @@ def _wal_digest(library):
     return [(e.kind, e.tid) for e in library.wal.entries()]
 
 
-@pytest.mark.benchmark(group="obs_overhead")
-def test_flight_recorder_overhead_within_budget(benchmark):
+def test_flight_recorder_overhead_within_budget():
     from repro.obs import flight as obsflight
     from repro.obs.flight import FlightRecorder
     from repro.serve.cli import run_serve
@@ -286,7 +277,7 @@ def test_flight_recorder_overhead_within_budget(benchmark):
         per_record = (time.perf_counter() - t0) / n
         return bare, recorded, per_record
 
-    bare, recorded, per_record = benchmark.pedantic(run, rounds=1, iterations=1)
+    bare, recorded, per_record = run()
     _, result_bare = bare[0]
     _, result_rec, recorder = recorded[0]
 

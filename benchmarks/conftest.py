@@ -1,13 +1,9 @@
-"""Shared helpers for the feature benchmarks.
+"""Shared helpers for the instrumentation overhead guards.
 
-Each ``bench_*.py`` file gates one subsystem beyond the paper (bulk
-engine, backends, analytics, replay seek, instrumentation overhead,
-deep lint) and writes a ``BENCH_*.json``.  The paper's own tables and
-figures are generated by ``python -m repro paper`` (:mod:`repro.paper`).
+``bench_obs_overhead.py`` times instrumented runs against bare ones and
+writes ``BENCH_*.json`` files.  Run it with::
 
-Run everything with::
-
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src pytest benchmarks/ -s
 """
 
 from __future__ import annotations
@@ -19,31 +15,11 @@ import pathlib
 import subprocess
 import uuid
 
-import pytest
-
-from repro.core.context import boot, set_current_machine
-from repro.hw.params import MachineConfig
 from repro.obs.machine_sources import snapshot_machine
 
 #: Version of the shared ``BENCH_*.json`` envelope written by
 #: :func:`write_bench_json`.  Bump when envelope keys change shape.
 BENCH_SCHEMA_VERSION = 1
-
-
-@pytest.fixture
-def fresh_machine():
-    """Factory for isolated machines; cleans the context afterwards."""
-    machines = []
-
-    def make(**overrides):
-        defaults = dict(memory_bytes=256 * 1024 * 1024)
-        defaults.update(overrides)
-        machine = boot(MachineConfig(**defaults))
-        machines.append(machine)
-        return machine
-
-    yield make
-    set_current_machine(None)
 
 
 def _git_sha() -> str | None:
@@ -68,8 +44,8 @@ def write_bench_json(path, benchmark, data, machine=None, obs=None):
     schema version, benchmark name, a fresh run id, UTC timestamp, git
     sha, the machine parameters the run used, and a metrics snapshot of
     the machine (plus any live observability counters) — so results can
-    be compared across runs and linked from EXPERIMENTS.md tables.  The
-    benchmark-specific payload goes under ``"data"``.
+    be compared across runs.  The benchmark-specific payload goes under
+    ``"data"``.
     """
     doc = {
         "schema_version": BENCH_SCHEMA_VERSION,

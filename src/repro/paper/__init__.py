@@ -1,7 +1,8 @@
 """The paper's results as generated, digest-pinned data.
 
 ``python -m repro paper`` runs every entry of :data:`ENTRIES` — Tables
-2–3, Figures 7–12 and the ablations — and, in the current directory:
+2–3, Figures 7–12, the ablations and the extensions beyond the paper —
+and, in the current directory:
 
 * writes ``PAPER_RESULTS.json``: per entry, the series, its SHA-256
   over canonical JSON, and its check verdict (``holds`` or the failing
@@ -25,9 +26,12 @@ import traceback
 from pathlib import Path
 
 from repro.core.context import set_current_machine
-from repro.paper import ablations, figures, tables
+from repro.paper import ablations, extensions, figures, tables
 
-ENTRIES = {e.name: e for e in (*tables.ENTRIES, *figures.ENTRIES, *ablations.ENTRIES)}
+ENTRIES = {
+    e.name: e
+    for e in (*tables.ENTRIES, *figures.ENTRIES, *ablations.ENTRIES, *extensions.ENTRIES)
+}
 
 RESULTS_FILE = "PAPER_RESULTS.json"
 EXPERIMENTS_FILE = "EXPERIMENTS.md"

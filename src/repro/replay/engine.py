@@ -183,7 +183,7 @@ class ReplayEngine:
     def full_replay_state_at(self, n_writes: int) -> bytes:
         """The seed's O(history) reference path: replay everything from
         the base image.  Kept as the oracle for golden tests and the
-        ``bench_replay_seek`` baseline."""
+        baseline of the near-tip seek speed floor."""
         self.machine.quiesce()
         self._refresh()
         writes = self._parsed.writes

@@ -21,6 +21,14 @@ from repro.obs.trace import validate_trace
 from repro.serve.cli import run_serve
 
 _WORKLOAD = dict(clients=8, txns=3, writes=2, seed=7)
+#: The 16-client run the flight-recorder overhead guard also drives.
+_SERVE16 = dict(clients=16, txns=8, writes=4, seed=1995)
+#: The small workload synchronous and batched, then the 16-client run.
+_RUNS = pytest.mark.parametrize(
+    "group, workload",
+    [(1, _WORKLOAD), (4, _WORKLOAD), (1, _SERVE16)],
+    ids=["sync", "grouped", "serve16"],
+)
 
 
 class TestTraceContextArithmetic:
@@ -61,21 +69,21 @@ class TestTraceContextArithmetic:
         assert ctx.ack_cycle == 20
 
 
-def _instrumented_run(group=1):
+def _instrumented_run(group, workload):
     with obscore.installed(Observability()):
         with causal.installed() as tracker:
             with obsflight.installed():
-                result = run_serve(group=group, **_WORKLOAD)
+                result = run_serve(group=group, **workload)
     return tracker, result
 
 
 class TestStageSumExactness:
-    @pytest.mark.parametrize("group", [1, 4], ids=["sync", "grouped"])
-    def test_stage_cycles_sum_to_request_span_exactly(self, group):
-        tracker, result = _instrumented_run(group=group)
+    @_RUNS
+    def test_stage_cycles_sum_to_request_span_exactly(self, group, workload):
+        tracker, result = _instrumented_run(group, workload)
         server = result["server"]
         assert server.crashed is None
-        assert len(server.acked) == _WORKLOAD["clients"] * _WORKLOAD["txns"]
+        assert len(server.acked) == workload["clients"] * workload["txns"]
         assert not tracker.open
         assert tracker.completed
         for ctx in tracker.completed:
@@ -83,12 +91,14 @@ class TestStageSumExactness:
             # Exact: disjoint stage intervals cover [submit, ack].
             assert sum(ctx.stages.values()) == ctx.ack_cycle - ctx.submit_cycle
 
-    @pytest.mark.parametrize("group", [1, 4], ids=["sync", "grouped"])
-    def test_commit_stages_match_server_latency_exactly(self, group):
-        tracker, result = _instrumented_run(group=group)
+    @_RUNS
+    def test_commit_stages_match_server_latency_exactly(self, group, workload):
+        tracker, result = _instrumented_run(group, workload)
         server = result["server"]
         commits = [ctx for ctx in tracker.completed if ctx.op == "commit"]
+        # Every commit was traced, and each matches a server latency.
         assert len(commits) == len(server.commit_latencies)
+        assert len(commits) == workload["clients"] * workload["txns"]
         for ctx, latency in zip(commits, server.commit_latencies):
             # The server measures dispatch→ack; the context additionally
             # holds submit→dispatch as queue_wait.  No slack either way.

@@ -1,6 +1,7 @@
 """Tests: checkpointed replay engine — golden seeks, cycle indexing."""
 
 import random
+import time
 
 import pytest
 
@@ -55,6 +56,28 @@ class TestGoldenSeeks:
         # records, never the 400-write history.
         assert engine.stats.records_replayed - before < 16
         assert engine.stats.checkpoints_captured == 400 // 16
+
+    def test_near_tip_seek_burst_beats_full_replay_tenfold(self, machine, proc):
+        # A debugger stepping near the tip of a long history: 80 seeks
+        # over 8,000 writes, timed from a cold engine (checkpoint build
+        # included), bit-identical to and >= 10x faster than full replay.
+        region, _log, va = make_logged_region(machine, log_kwargs={"size": 32 * 1024 * 1024})
+        engine = ReplayEngine(region, checkpoint_interval=64)
+        rng = random.Random(0)
+        for _ in range(8000):
+            proc.write(va + 4 * rng.randrange(region.size // 4), rng.randrange(2**32))
+        total = len(engine)
+        assert total == 8000
+        positions = [total - 1 - i for i in range(80)]
+        t0 = time.perf_counter()
+        fast = [engine.state_at(n) for n in positions]
+        fast_wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        slow = [engine.full_replay_state_at(n) for n in positions]
+        slow_wall = time.perf_counter() - t0
+        assert fast == slow
+        speedup = slow_wall / fast_wall
+        assert speedup >= 10.0, f"checkpointed seek speedup {speedup:.2f}x below the 10x floor"
 
     def test_writes_after_a_seek_extend_history(self, machine, proc):
         region, _log, va = make_logged_region(machine)
