@@ -227,6 +227,11 @@ class AddressSpace:
             value = int.from_bytes(data[off : off + size], "little")
             self.write(cpu, vaddr + off, value, size)
 
+    def write_words(self, cpu: CPU, writes) -> None:
+        """Timed scatter store: exactly ``for va, v, s in writes:
+        self.write(cpu, va, v, s)``, one bulk-engine call per page run."""
+        bulk.write_words(self, cpu, writes)
+
     def read_bytes(self, cpu: CPU, vaddr: int, length: int) -> bytes:
         """Timed byte-string load, word at a time.
 

@@ -8,7 +8,9 @@ which process a whole page-run in one call while charging *bit-identical*
 cycle totals: the write buffer, the L1 tag array, the bus serialisation,
 and the logger's per-word snoop/drain are all advanced in the same order
 and by the same amounts as the word-at-a-time loop (the cycle-exactness
-guard test asserts this on randomized workloads).
+guard test asserts this on randomized workloads).  :func:`write_words`
+is the scatter form (a Time Warp event's state writes), one fused call
+per run of writes to one page.
 
 Structure (the rr/Virtuoso lesson — batch the common case, trap on the
 rare one): the fused loops handle mapped, unprotected pages with the
@@ -16,6 +18,10 @@ default cache/logger configuration; anything else — page fault,
 protection trap, PMT miss, log-page boundary, FIFO overload, absorbing
 log, special log modes, a modeled L2 — falls back to the exact generic
 code path at the exact point the word-at-a-time loop would have hit it.
+A scatter store's page run takes the word loop when it has fewer than
+three words or a word spanning a page, or when its page is not in the
+translation cache, write-protected, unlogged or on-chip-logged; the
+whole call does while a probe subscriber is attached.
 
 The engine never changes what is simulated, only how fast the
 simulation runs.
@@ -24,7 +30,8 @@ simulation runs.
 from __future__ import annotations
 
 import struct
-from itertools import count as _icount, repeat as _irepeat
+from functools import partial
+from itertools import count as _icount, groupby, repeat as _irepeat
 from typing import TYPE_CHECKING
 
 from repro import probe
@@ -42,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_MASK = PAGE_SIZE - 1
 _INFINITY = float("inf")
+#: Shorter scatter-store page runs take the word loop: for one or two
+#: words the fused loop's set-up costs more than it saves (DESIGN.md §5.1).
+_FUSED_MIN_WORDS = 3
 
 
 def _access_plan(va: int, chunk: bytes, paddr_base: int):
@@ -105,6 +115,39 @@ def write_block(aspace: "AddressSpace", cpu: "CPU", vaddr: int, data: bytes) -> 
         pos += run
 
 
+def write_words(aspace: "AddressSpace", cpu: "CPU", writes) -> None:
+    """Timed scatter store of ``(vaddr, value, size)`` triples, charged
+    exactly as ``for va, v, s in writes: aspace.write(cpu, va, v, s)``.
+    With a probe subscriber attached the word loop runs, because
+    ``logged_run`` reports one contiguous span per call."""
+    if probe._ACTIVE is not None or len(writes) < _FUSED_MIN_WORDS:
+        for va, value, size in writes:
+            aspace.write(cpu, va, value, size)
+        return
+    machine = aspace.machine
+    for vpn, run in groupby(writes, lambda triple: triple[0] >> _PAGE_SHIFT):
+        group = list(run)
+        page_va = vpn << _PAGE_SHIFT
+        pte = aspace._tc.get(vpn)
+        if (
+            len(group) >= _FUSED_MIN_WORDS
+            and pte is not None
+            and not pte.write_protected
+            and pte.logged
+            and machine.on_chip_logger is None
+            and max([va + size for va, _value, size in group]) <= page_va + PAGE_SIZE
+        ):
+            paddr = pte.base_paddr - page_va
+            offset = pte.page_index * PAGE_SIZE - page_va
+            items = [(paddr + va, size, value) for va, value, size in group]
+            offsets = [(offset + va, value, size) for va, value, size in group]
+            write = partial(pte.region.segment.write_words, offsets)
+            if _write_run_bus_logged(cpu, machine, pte, (items, len(items)), write, None):
+                continue
+        for va, value, size in group:
+            aspace.write(cpu, va, value, size)
+
+
 def read_block(aspace: "AddressSpace", cpu: "CPU", vaddr: int, length: int) -> bytes:
     """Timed load of ``length`` bytes at ``vaddr``, one call per page-run."""
     machine = aspace.machine
@@ -151,7 +194,8 @@ def _write_run(
                 cpu, machine, pte, segment, va, chunk, steps, seg_offset, paddr_base
             )
         elif _write_run_bus_logged(
-            cpu, machine, pte, segment, chunk, va, seg_offset, paddr_base
+            cpu, machine, pte, _access_plan(va, chunk, paddr_base),
+            partial(segment.write_bytes, seg_offset, chunk), (paddr_base, len(chunk)),
         ):
             sp = probe._ACTIVE
             if sp is not None:
@@ -255,10 +299,13 @@ def _write_run_onchip(
         )
 
 
-def _write_run_bus_logged(
-    cpu, machine, pte, segment, chunk, va, seg_offset, paddr_base
-):
+def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
     """Prototype bus logger: the fully fused write-through loop.
+
+    ``plan`` is ``(items, count)`` for the run's ``(paddr, size, value)``
+    stores on ``pte``'s page, ``write()`` their functional write, and
+    ``span`` the ``(paddr, length)`` reported to a probe subscriber
+    (None from a scatter store, which never runs with one attached).
 
     Inlines, per word, the exact sequence of ``CPU.write_through`` →
     ``SystemBus.write_transaction`` → ``Logger.snoop_write`` (drain then
@@ -292,9 +339,9 @@ def _write_run_bus_logged(
         # The fused loop never calls SystemBus.write_transaction, so
         # report the whole run as one logged write (same page span,
         # same writer) before taking it.
-        sp.logged_run(cpu.index, paddr_base, len(chunk), cpu._now)
+        sp.logged_run(cpu.index, span[0], span[1], cpu._now)
 
-    segment.write_bytes(seg_offset, chunk)
+    write()
 
     config = cpu.config
     clock = cpu.clock
@@ -500,7 +547,7 @@ def _write_run_bus_logged(
                 handler.record_written(cached_log, dest, record_size)
         head_done = _INFINITY
 
-    items, count = _access_plan(va, chunk, paddr_base)
+    items, count = plan
     complete = now
     for paddr, size, value in items:
         # --- CPU.write_through front half
@@ -601,13 +648,14 @@ def _write_run_bus_logged(
     pmt.lookup_count += lookups
     clock.advance_to(complete if complete > now else now)
     # Materialise any still-queued raw entries so the shared FIFO again
-    # holds only (ready, BusWrite) pairs.
-    for i, queued in enumerate(entries):
-        if len(queued) == 4:
-            entries[i] = (
-                queued[0],
-                BusWrite(queued[1], queued[2], queued[3], log_tag, cpu_index),
-            )
+    # holds only (ready, BusWrite) pairs.  This run queued them behind
+    # every older pair, so they are the deque's tail.
+    i = len(entries)
+    for queued in reversed(entries):
+        if len(queued) != 4:
+            break
+        i -= 1
+        entries[i] = (queued[0], BusWrite(queued[1], queued[2], queued[3], log_tag, cpu_index))
     return True
 
 

@@ -117,12 +117,14 @@ class RegionLogView:
         Returns the number of records applied.
         """
         to_offset = self.translator()
-        write = segment.write
         applied = 0
         for _offset, rows in self.log.record_spans(end=limit_offset):
-            for addr, value, size, flags, _timestamp in rows:
-                write(to_offset(addr, flags), value, size)
-                applied += 1
+            updates = [
+                (to_offset(addr, flags), value, size)
+                for addr, value, size, flags, _timestamp in rows
+            ]
+            segment.write_words(updates)
+            applied += len(updates)
         return applied
 
 

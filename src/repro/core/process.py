@@ -56,6 +56,11 @@ class Process:
         """Timed store through this process's address space."""
         self._address_space.write(self.cpu, vaddr, value, size)
 
+    def write_words(self, writes) -> None:
+        """Timed scatter store of ``(vaddr, value, size)`` triples —
+        cycle-identical to calling :meth:`write` on each in order."""
+        self._address_space.write_words(self.cpu, writes)
+
     def read(self, vaddr: int, size: int = 4) -> int:
         """Timed load through this process's address space."""
         return self._address_space.read(self.cpu, vaddr, size)

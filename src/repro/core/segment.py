@@ -216,6 +216,27 @@ class Segment:
                 self._dirty(page, in_page, size)
         PACK[size].pack_into(page.frame.data, in_page, value & ((1 << 8 * size) - 1))
 
+    def write_words(self, writes) -> None:
+        """``for o, v, s in writes: self.write(o, v, s)``, with the page
+        looked up once per run of writes to it."""
+        pages = self._pages
+        source = self.source
+        last = -1
+        for offset, value, size in writes:
+            in_page = offset % PAGE_SIZE
+            if in_page + size > PAGE_SIZE or not 0 <= offset < self.size:
+                raise self._word_error(offset, size)
+            if offset // PAGE_SIZE != last:
+                last = offset // PAGE_SIZE
+                page = pages.get(last) or self.page(last)
+                data = page.frame.data
+            if source is not None:
+                mask = page.dc_dirty_mask
+                line = in_page // LINE_SIZE
+                if not mask >> line & mask >> ((in_page + size - 1) // LINE_SIZE) & 1:
+                    self._dirty(page, in_page, size)
+            PACK[size].pack_into(data, in_page, value & ((1 << 8 * size) - 1))
+
     def read_bytes(self, offset: int, length: int) -> bytes:
         """Read a byte string (may span pages)."""
         self._check_range(offset, length)

@@ -67,6 +67,10 @@ class _Context:
         local = self._s.local_index(obj)
         self._s.proc.write(self._s.saver.object_va(local) + offset, value)
 
+    def write_states(self, obj: int, writes: list[tuple[int, int]]) -> None:
+        base = self._s.saver.object_va(self._s.local_index(obj))
+        self._s.proc.write_words([(base + offset, value, 4) for offset, value in writes])
+
     def schedule(self, dest_obj: int, delay: int, payload: int = 0) -> None:
         if delay < 1:
             raise SimulationError("events must be scheduled strictly ahead")

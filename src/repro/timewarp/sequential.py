@@ -54,6 +54,10 @@ class _SequentialContext:
         data = self._sim.state[obj]
         data[offset : offset + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
 
+    def write_states(self, obj: int, writes: list[tuple[int, int]]) -> None:
+        for offset, value in writes:
+            self.write_state(obj, offset, value)
+
     def schedule(self, dest_obj: int, delay: int, payload: int = 0) -> None:
         if delay < 1:
             raise SimulationError("events must be scheduled strictly ahead")

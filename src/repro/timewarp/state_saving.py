@@ -292,6 +292,9 @@ class LVMStateSaver(StateSaver):
         applied = 0
         cut = None
         for span_start, rows in log.record_spans(start):
+            # Nothing timed runs between two records off the per-record
+            # fork, so one write_words call applies a log page's updates.
+            updates = []
             for index, (addr, value, size, flags, _timestamp) in enumerate(rows):
                 seg_offset = to_offset(addr, flags)
                 if seg_offset < MARKER_BYTES:
@@ -304,8 +307,9 @@ class LVMStateSaver(StateSaver):
                     write(seg_offset, value, size)
                     proc.compute(APPLY_RECORD_CYCLES)
                 else:
-                    write(seg_offset, value, size)
+                    updates.append((seg_offset, value, size))
                 applied += 1
+            target.write_words(updates)
             if cut is not None:
                 break
         if charge and applied and not per_record:

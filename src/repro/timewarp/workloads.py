@@ -54,6 +54,11 @@ class ModelContext(Protocol):
         """Write a state word of a *local* object."""
         ...  # pragma: no cover - protocol
 
+    def write_states(self, obj: int, writes: list[tuple[int, int]]) -> None:
+        """Write ``(offset, value)`` state words of a *local* object, in
+        order: the same as one :meth:`write_state` per pair."""
+        ...  # pragma: no cover - protocol
+
     def schedule(self, dest_obj: int, delay: int, payload: int = 0) -> None:
         """Schedule a new event ``delay`` virtual time units ahead."""
         ...  # pragma: no cover - protocol
@@ -105,9 +110,8 @@ class SyntheticModel:
         # Write w words spread evenly across the object state.
         stride = max(4, (self.s // self.w) & ~3)
         h = event_hash(self.seed, obj, ctx.now, payload)
-        for j in range(self.w):
-            offset = (j * stride) % (self.s - 3) & ~3
-            ctx.write_state(obj, offset, (h + j) & 0xFFFFFFFF)
+        writes = [((j * stride) % (self.s - 3) & ~3, (h + j) & 0xFFFFFFFF) for j in range(self.w)]
+        ctx.write_states(obj, writes)
         # Schedule the successor event (hash-derived, order-independent).
         dest = event_hash(h, 1) % self.num_objects
         delay = 1 + event_hash(h, 2) % self.max_delay
@@ -161,9 +165,8 @@ class PhasedModel:
         ctx.compute(c)
         stride = max(4, (self.s // w) & ~3)
         h = event_hash(self.seed, obj, ctx.now, payload)
-        for j in range(w):
-            offset = (j * stride) % (self.s - 3) & ~3
-            ctx.write_state(obj, offset, (h + j) & 0xFFFFFFFF)
+        writes = [((j * stride) % (self.s - 3) & ~3, (h + j) & 0xFFFFFFFF) for j in range(w)]
+        ctx.write_states(obj, writes)
         if storm:
             # Cross-partition ping with minimal delay: the receiver has
             # usually optimistically run ahead, so this straggles.

@@ -163,3 +163,39 @@ def test_property_deferred_copy_matches_line_shadow(ops):
         assert dst.snapshot() == source
     finally:
         set_current_machine(None)
+
+
+word_strategy = st.tuples(
+    st.integers(0, SEG_BYTES - 8), st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 4, 8])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.lists(word_strategy, max_size=40),
+    deferred=st.booleans(),
+)
+def test_property_write_words_matches_write_loop(words, deferred):
+    """``write_words`` leaves the bytes and the dirty lines exactly as
+    the loop of ``write`` it is defined as, repeated offsets included,
+    on a plain segment and on a deferred-copy destination over a
+    non-zero source."""
+    machine = boot(TEST_CONFIG)
+    try:
+        src = StdSegment(SEG_BYTES, machine=machine)
+        src.write_bytes(0, bytes((5 * i + 1) % 253 + 1 for i in range(SEG_BYTES)))
+        words = [(align(offset, size), value, size) for offset, value, size in words]
+        pair = []
+        for batched in (False, True):
+            seg = StdSegment(SEG_BYTES, machine=machine)
+            if deferred:
+                seg.source_segment(src)
+            if batched:
+                seg.write_words(words)
+            else:
+                for offset, value, size in words:
+                    seg.write(offset, value, size)
+            pair.append((seg.snapshot(), {p.index: p.dc_dirty_mask for p in seg.pages()}))
+        assert pair[0] == pair[1]
+    finally:
+        set_current_machine(None)

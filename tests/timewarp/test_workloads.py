@@ -60,6 +60,10 @@ class TestSyntheticModel:
                 assert 0 <= offset <= 32 - 4
                 assert offset % 4 == 0
 
+            def write_states(self, obj, writes):
+                for offset, value in writes:
+                    self.write_state(obj, offset, value)
+
             def read_state(self, obj, offset):
                 return 0
 
