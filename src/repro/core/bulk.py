@@ -21,7 +21,9 @@ code path at the exact point the word-at-a-time loop would have hit it.
 A scatter store's page run takes the word loop when it has fewer than
 three words or a word spanning a page, or when its page is not in the
 translation cache, write-protected, unlogged or on-chip-logged; the
-whole call does while a probe subscriber is attached.
+whole call does while a probe subscriber is attached.  The fused loop
+queues the logger's write-FIFO entries in its one format, ``(ready,
+paddr, value, size)``, so either path drains what the other queued.
 
 The engine never changes what is simulated, only how fast the
 simulation runs.
@@ -36,7 +38,6 @@ from typing import TYPE_CHECKING
 
 from repro import probe
 from repro.errors import ProtectionError
-from repro.hw.bus import BusWrite
 from repro.hw.logger import LogMode
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import RECORD_STRUCT
@@ -142,7 +143,7 @@ def write_words(aspace: "AddressSpace", cpu: "CPU", writes) -> None:
             items = [(paddr + va, size, value) for va, value, size in group]
             offsets = [(offset + va, value, size) for va, value, size in group]
             write = partial(pte.region.segment.write_words, offsets)
-            if _write_run_bus_logged(cpu, machine, pte, (items, len(items)), write, None):
+            if _write_run_bus_logged(cpu, machine, (items, len(items)), write, None):
                 continue
         for va, value, size in group:
             aspace.write(cpu, va, value, size)
@@ -150,7 +151,6 @@ def write_words(aspace: "AddressSpace", cpu: "CPU", writes) -> None:
 
 def read_block(aspace: "AddressSpace", cpu: "CPU", vaddr: int, length: int) -> bytes:
     """Timed load of ``length`` bytes at ``vaddr``, one call per page-run."""
-    machine = aspace.machine
     out = []
     pos = 0
     while pos < length:
@@ -158,7 +158,7 @@ def read_block(aspace: "AddressSpace", cpu: "CPU", vaddr: int, length: int) -> b
         run = PAGE_SIZE - (va & _PAGE_MASK)
         if run > length - pos:
             run = length - pos
-        out.append(_read_run(aspace, cpu, machine, va, run))
+        out.append(_read_run(aspace, cpu, va, run))
         pos += run
     return b"".join(out)
 
@@ -194,7 +194,7 @@ def _write_run(
                 cpu, machine, pte, segment, va, chunk, steps, seg_offset, paddr_base
             )
         elif _write_run_bus_logged(
-            cpu, machine, pte, _access_plan(va, chunk, paddr_base),
+            cpu, machine, _access_plan(va, chunk, paddr_base),
             partial(segment.write_bytes, seg_offset, chunk), (paddr_base, len(chunk)),
         ):
             sp = probe._ACTIVE
@@ -217,7 +217,20 @@ def _write_run(
 def _write_run_unlogged(cpu, segment, chunk, va, seg_offset, paddr_base):
     """Ordinary cached stores: one functional write + fused L1 timing."""
     segment.write_bytes(seg_offset, chunk)
-    n = len(chunk)
+    _cached_run(
+        cpu, va, len(chunk), paddr_base,
+        cpu.config.cached_write_cycles, "stores", cpu.cached_write,
+    )
+
+
+def _cached_run(cpu, va, n, paddr_base, hit_cycles, counter, per_access):
+    """Charge the L1 timing of a page run of ``n`` cached bytes.
+
+    The stores of :func:`_write_run_unlogged` and the loads of
+    :func:`_read_run` differ only in ``hit_cycles``, the ``cpu.stats``
+    ``counter`` they add to, and ``per_access``, the ``CPU`` method
+    that charges one access when an L2 is modelled.
+    """
     if not (va | n) & 3:
         addrs = range(paddr_base, paddr_base + n, 4)
         count = n >> 2
@@ -227,7 +240,7 @@ def _write_run_unlogged(cpu, segment, chunk, va, seg_offset, paddr_base):
         count = len(steps)
     if cpu.l2 is not None:
         for paddr in addrs:
-            cpu.cached_write(paddr)
+            per_access(paddr)
         return
     # Suspension is applied once up front: nothing in this run can move
     # _resume_at, so per-step application (what _advance does) degenerates
@@ -235,13 +248,11 @@ def _write_run_unlogged(cpu, segment, chunk, va, seg_offset, paddr_base):
     if cpu._resume_at > cpu._now:
         cpu.stats.suspend_cycles += cpu._resume_at - cpu._now
         cpu._now = cpu._resume_at
-    config = cpu.config
     l1 = cpu.l1
     tags = l1._tags
     num_lines = l1.num_lines
     line_size = l1.line_size
-    hit_cycles = config.cached_write_cycles
-    fill_cycles = config.l2_hit_cycles
+    fill_cycles = cpu.config.l2_hit_cycles
     now = cpu._now
     hits = 0
     misses = 0
@@ -264,7 +275,7 @@ def _write_run_unlogged(cpu, segment, chunk, va, seg_offset, paddr_base):
             tags[index] = line
             now += fill_cycles
     cpu._now = now
-    cpu.stats.stores += count
+    setattr(cpu.stats, counter, getattr(cpu.stats, counter) + count)
     l1.hits += hits
     l1.misses += misses
     cpu.clock.advance_to(now)
@@ -299,26 +310,25 @@ def _write_run_onchip(
         )
 
 
-def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
+def _write_run_bus_logged(cpu, machine, plan, write, span):
     """Prototype bus logger: the fully fused write-through loop.
 
     ``plan`` is ``(items, count)`` for the run's ``(paddr, size, value)``
-    stores on ``pte``'s page, ``write()`` their functional write, and
+    stores on one logged page, ``write()`` their functional write, and
     ``span`` the ``(paddr, length)`` reported to a probe subscriber
     (None from a scatter store, which never runs with one attached).
 
     Inlines, per word, the exact sequence of ``CPU.write_through`` →
     ``SystemBus.write_transaction`` → ``Logger.snoop_write`` (drain then
     push), including the logger's NORMAL-mode record processing and the
-    overload interrupt's FIFO flush.  Words are queued in the FIFO as
-    raw ``(ready, paddr, value, size)`` tuples and only materialised as
-    :class:`BusWrite` objects when generic code needs to see them (a
-    fault falling back to ``Logger._process``, or entries left queued
-    when the run ends).  Any record the fused drain cannot handle
-    exactly (PMT miss, invalid log-table entry, absorbing log, special
-    mode) is routed through ``Logger._process`` with the shared state
-    synchronised, so faults and their cycle charges land exactly as in
-    the slow path.
+    overload interrupt's FIFO flush.  Words are queued as the write
+    FIFO's one entry format, ``(ready, paddr, value, size)``, so entries
+    left queued when the run ends need no conversion and an older entry
+    from the bus snoop drains the same way.  Any record the fused drain
+    cannot handle exactly (PMT miss, invalid log-table entry, absorbing
+    log, special mode) is routed through ``Logger._process`` with the
+    shared state synchronised, so faults and their cycle charges land
+    exactly as in the slow path.
 
     Returns False (without touching any state) when the configuration
     has features the fused loop does not model — the caller then uses
@@ -355,8 +365,6 @@ def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
     bus_write_cycles = config.write_through_bus_cycles
     depth = config.write_buffer_depth
     buf = cpu._write_buffer
-    log_tag = pte.log_index
-    cpu_index = cpu.index
 
     fifo = logger.write_fifo
     entries = fifo._entries
@@ -417,9 +425,7 @@ def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
         """Service queued records: ``Logger.drain``/``flush`` fused.
 
         ``limit`` is the bus cycle up to which service may complete
-        (None = flush everything).  Handles both raw 4-tuples queued by
-        this run and ``(ready, BusWrite)`` pairs queued by earlier
-        generic-path stores.  It repeats ``Logger._drain_fast`` on
+        (None = flush everything).  It repeats ``Logger._drain_fast`` on
         purpose: calling one shared loop measured ~16% slower
         ``bulk_copy`` p50 (DESIGN.md §5.1).
         """
@@ -427,8 +433,7 @@ def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
         nonlocal cached_ppn, cached_log, cached_entry, cached_sink
         nonlocal cached_fpn, cached_frame_data, head_done
         while entries:
-            queued = entries[0]
-            ready = queued[0]
+            ready, wpaddr, wvalue, wsize = entries[0]
             start = ready if ready > free else free
             done = start + service
             if limit is not None and done > limit:
@@ -436,75 +441,35 @@ def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
                 return
             entries.popleft()
             free = done
-            if len(queued) == 4:
-                write = None
-                wpaddr = queued[1]
-                wvalue = queued[2]
-                wsize = queued[3]
-            else:
-                write = queued[1]
-                wpaddr = write.paddr
-                wvalue = write.value
-                wsize = write.size
             ppn = wpaddr >> _PAGE_SHIFT
             if ppn != cached_ppn:
-                ok = False
                 slot = slots.get(ppn & index_mask)
                 if slot is not None and slot.tag == ppn >> index_bits:
                     log_index = slot.log_index
-                    if log_index == cached_log:
-                        ok = True
-                    else:
+                    if log_index != cached_log:
                         entry = lt_entries.get(log_index)
                         if (
                             entry is not None
                             and log_index not in absorbing
                             and modes.get(log_index, normal) is normal
                         ):
-                            ok = True
                             cached_log = log_index
                             cached_entry = entry
-                            if handler is None:
-                                cached_sink = None
-                            else:
-                                getlog = getattr(
-                                    handler, "log_segment_for", None
-                                )
-                                cached_sink = (
-                                    getlog(log_index)
-                                    if getlog is not None
-                                    else None
-                                )
-                if not ok:
-                    # PMT miss, absorbing log, or special mode: generic
-                    # path with the shared state synchronised.
-                    if write is None:
-                        write = BusWrite(
-                            wpaddr, wvalue, wsize, log_tag, cpu_index
-                        )
-                    logger._service_free = free
-                    bus._busy_until = busy
-                    logger._process(write, done)
-                    free = logger._service_free
-                    busy = bus._busy_until
-                    cached_ppn = -1
-                    cached_log = -1
-                    cached_fpn = -1
-                    continue
-                cached_ppn = ppn
+                            getlog = getattr(handler, "log_segment_for", None)
+                            cached_sink = getlog(log_index) if getlog is not None else None
+                    if log_index == cached_log:
+                        cached_ppn = ppn
             entry = cached_entry
-            if not entry.valid:
-                # Boundary fault: the log address crossed a page.
-                if write is None:
-                    write = BusWrite(wpaddr, wvalue, wsize, log_tag, cpu_index)
+            if ppn != cached_ppn or not entry.valid:
+                # PMT miss, absorbing log, special mode, or a boundary
+                # fault (the log address crossed a page): generic path
+                # with the shared state synchronised.
                 logger._service_free = free
                 bus._busy_until = busy
-                logger._process(write, done)
+                logger._process(wpaddr, wvalue, wsize, done)
                 free = logger._service_free
                 busy = bus._busy_until
-                cached_ppn = -1
-                cached_log = -1
-                cached_fpn = -1
+                cached_ppn = cached_log = cached_fpn = -1
                 continue
             lookups += 1
             dest = entry.log_address
@@ -526,19 +491,14 @@ def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
             fpn = dest >> _PAGE_SHIFT
             if fpn != cached_fpn:
                 frame = frames.get(fpn)
-                if frame is None:
-                    memory_write(dest, payload)
-                    logged += 1
-                    if cached_sink is not None:
-                        cached_sink.append_offset += record_size
-                        cached_sink.records_appended += 1
-                    elif handler is not None:
-                        handler.record_written(cached_log, dest, record_size)
-                    continue
-                cached_fpn = fpn
-                cached_frame_data = frame.data
-            frame_off = dest & _PAGE_MASK
-            cached_frame_data[frame_off : frame_off + record_size] = payload
+                if frame is not None:
+                    cached_fpn = fpn
+                    cached_frame_data = frame.data
+            if fpn == cached_fpn:
+                frame_off = dest & _PAGE_MASK
+                cached_frame_data[frame_off : frame_off + record_size] = payload
+            else:
+                memory_write(dest, payload)
             logged += 1
             if cached_sink is not None:
                 cached_sink.append_offset += record_size
@@ -624,9 +584,7 @@ def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
                 resume_at = cpu._resume_at
                 high_water = fifo.high_water_mark
                 last_line = -1
-                cached_ppn = -1
-                cached_log = -1
-                cached_fpn = -1
+                cached_ppn = cached_log = cached_fpn = -1
         # --- CPU.write_through back half
         buf.append(complete)
         if resume_at > now:
@@ -647,25 +605,13 @@ def _write_run_bus_logged(cpu, machine, pte, plan, write, span):
     logger_stats.records_logged += logged
     pmt.lookup_count += lookups
     clock.advance_to(complete if complete > now else now)
-    # Materialise any still-queued raw entries so the shared FIFO again
-    # holds only (ready, BusWrite) pairs.  This run queued them behind
-    # every older pair, so they are the deque's tail.
-    i = len(entries)
-    for queued in reversed(entries):
-        if len(queued) != 4:
-            break
-        i -= 1
-        entries[i] = (queued[0], BusWrite(queued[1], queued[2], queued[3], log_tag, cpu_index))
     return True
-
 
 
 # ----------------------------------------------------------------------
 # Per-page-run read path
 # ----------------------------------------------------------------------
-def _read_run(
-    aspace: "AddressSpace", cpu: "CPU", machine: "Machine", va: int, run: int
-) -> bytes:
+def _read_run(aspace: "AddressSpace", cpu: "CPU", va: int, run: int) -> bytes:
     vpn = va >> _PAGE_SHIFT
     pte = aspace._tc.get(vpn)
     if pte is None:
@@ -675,51 +621,7 @@ def _read_run(
     seg_offset = pte.page_index * PAGE_SIZE + in_page
     paddr_base = pte.base_paddr + in_page
     data = pte.region.segment.read_bytes(seg_offset, run)
-    if not (va | run) & 3:
-        addrs = range(paddr_base, paddr_base + run, 4)
-        count = run >> 2
-    else:
-        steps = access_steps(va, run)
-        addrs = [paddr_base + off for off, _size in steps]
-        count = len(steps)
-    if cpu.l2 is not None:
-        for paddr in addrs:
-            cpu.cached_read(paddr)
-        return data
-    if cpu._resume_at > cpu._now:
-        cpu.stats.suspend_cycles += cpu._resume_at - cpu._now
-        cpu._now = cpu._resume_at
-    config = cpu.config
-    l1 = cpu.l1
-    tags = l1._tags
-    num_lines = l1.num_lines
-    line_size = l1.line_size
-    hit_cycles = config.l1_hit_cycles
-    fill_cycles = config.l2_hit_cycles
-    now = cpu._now
-    hits = 0
-    misses = 0
-    last_line = -1
-    for paddr in addrs:
-        line = paddr // line_size
-        if line == last_line:
-            # Same line as the previous access, and nothing between the
-            # two could have evicted it: a guaranteed hit.
-            hits += 1
-            now += hit_cycles
-            continue
-        last_line = line
-        index = line % num_lines
-        if tags.get(index) == line:
-            hits += 1
-            now += hit_cycles
-        else:
-            misses += 1
-            tags[index] = line
-            now += fill_cycles
-    cpu._now = now
-    cpu.stats.loads += count
-    l1.hits += hits
-    l1.misses += misses
-    cpu.clock.advance_to(now)
+    _cached_run(
+        cpu, va, run, paddr_base, cpu.config.l1_hit_cycles, "loads", cpu.cached_read
+    )
     return data

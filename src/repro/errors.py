@@ -56,10 +56,6 @@ class UnsupportedOperationError(LVMError):
     """
 
 
-class LogFullError(LoggingError):
-    """A log segment is full and cannot be extended."""
-
-
 class FrameExhaustedError(LVMError):
     """Physical memory has no free page frames."""
 

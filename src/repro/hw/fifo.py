@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Generic, Iterator, TypeVar
+from typing import Iterator
 
 from repro import probe
 from repro.errors import ConfigError
-
-T = TypeVar("T")
 
 
 class PushResult(enum.Enum):
@@ -36,8 +34,10 @@ class PushResult(enum.Enum):
     OVERFLOW = "overflow"
 
 
-class HardwareFifo(Generic[T]):
-    """A bounded FIFO of ``(ready_cycle, item)`` entries.
+class HardwareFifo:
+    """A bounded FIFO of ``(ready_cycle, *fields)`` entries.  The
+    logger's write FIFO has one format, ``(ready, paddr, value, size)``,
+    from both the bus snoop and the bulk engine's fused loop.
 
     ``threshold`` models the logger's overload watermark: pushing an
     entry that brings occupancy *above* the threshold is reported to the
@@ -54,7 +54,7 @@ class HardwareFifo(Generic[T]):
             raise ConfigError("FIFO threshold exceeds capacity")
         self.capacity = capacity
         self.threshold = threshold if threshold is not None else capacity
-        self._entries: deque[tuple[int, T]] = deque()
+        self._entries: deque[tuple] = deque()
         self.overflow_count = 0
         self.high_water_mark = 0
 
@@ -64,7 +64,7 @@ class HardwareFifo(Generic[T]):
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def __iter__(self) -> Iterator[tuple[int, T]]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self._entries)
 
     @property
@@ -72,8 +72,8 @@ class HardwareFifo(Generic[T]):
         """Number of entries currently queued."""
         return len(self._entries)
 
-    def push(self, ready_cycle: int, item: T) -> PushResult:
-        """Queue ``item``, available to the consumer at ``ready_cycle``.
+    def push(self, ready_cycle: int, *fields) -> PushResult:
+        """Queue ``(ready_cycle, *fields)``, available at ``ready_cycle``.
 
         Returns :attr:`PushResult.THRESHOLD` if the push raised occupancy
         above the overload threshold, :attr:`PushResult.OVERFLOW` if the
@@ -91,19 +91,19 @@ class HardwareFifo(Generic[T]):
             probe.hit("fifo.overflow", cycle=ready_cycle)
             self.overflow_count += 1
             return PushResult.OVERFLOW
-        self._entries.append((ready_cycle, item))
+        self._entries.append((ready_cycle, *fields))
         if len(self._entries) > self.high_water_mark:
             self.high_water_mark = len(self._entries)
         if len(self._entries) > self.threshold:
             return PushResult.THRESHOLD
         return PushResult.OK
 
-    def peek(self) -> tuple[int, T]:
+    def peek(self) -> tuple:
         """Return the head entry without removing it."""
         return self._entries[0]
 
-    def pop(self) -> tuple[int, T]:
-        """Remove and return the head ``(ready_cycle, item)`` entry."""
+    def pop(self) -> tuple:
+        """Remove and return the head entry."""
         return self._entries.popleft()
 
     def clear(self) -> None:

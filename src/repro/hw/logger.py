@@ -140,7 +140,7 @@ class Logger:
         self.clock = clock
         self.pmt = PageMappingTable(config.pmt_index_bits, config.pmt_tag_bits)
         self.log_table = LogTable(config.log_table_entries)
-        self.write_fifo: HardwareFifo[BusWrite] = HardwareFifo(
+        self.write_fifo = HardwareFifo(
             config.logger_fifo_capacity, config.logger_overload_threshold
         )
         self.stats = LoggerStats()
@@ -207,12 +207,12 @@ class Logger:
         """Observe a completed bus write (SystemBus snooper hook).
 
         Only writes whose page mapping asserted the bus "log" signal are
-        latched (section 3.1).
+        latched (section 3.1), as ``(ready, paddr, value, size)``.
         """
         if write.log_tag is None:
             return
         self.drain(complete_cycle)
-        result = self.write_fifo.push(complete_cycle, write)
+        result = self.write_fifo.push(complete_cycle, write.paddr, write.value, write.size)
         sp = probe._ACTIVE
         if sp is not None:
             sp.counter_track(
@@ -260,14 +260,15 @@ class Logger:
     def _drain_fast(self, limit: int | None) -> None:
         """Service queued writes up to ``limit`` (None = all of them).
 
-        This is the pipeline's hot loop: the NORMAL-mode, PMT-hit,
-        valid-log-table-entry case is fully inlined (one dict probe for
-        the PMT slot, the log-table bump, the struct pack, the DMA bus
-        acquire, and the frame write), with counter updates batched and
-        written back once.  Any deviation — PMT miss, boundary fault,
-        absorbing log, non-NORMAL mode — falls back to the generic
-        :meth:`_process`, which produces bit-identical state to the old
-        record-at-a-time loop.
+        This is the pipeline's hot loop.  Every entry is ``(ready, paddr,
+        value, size)``, whether the bus snoop or the bulk engine queued
+        it.  The NORMAL-mode, PMT-hit, valid-log-table-entry case is fully
+        inlined (one dict probe for the PMT slot, the log-table bump, the
+        struct pack, the DMA bus acquire, and the frame write), with
+        counter updates batched and written back once.  Any deviation —
+        PMT miss, boundary fault, absorbing log, non-NORMAL mode — falls
+        back to the generic :meth:`_process`, which produces bit-identical
+        state to the old record-at-a-time loop.
 
         The bulk engine's ``drain`` closure in
         ``core/bulk._write_run_bus_logged`` repeats this loop on
@@ -283,14 +284,14 @@ class Logger:
             # route every record through _process so "logger.dma" fires
             # per record (cycle charges are identical either way).
             while entries:
-                ready, write = entries[0]
+                ready, paddr, value, size = entries[0]
                 start = ready if ready > self._service_free else self._service_free
                 complete = start + service
                 if limit is not None and complete > limit:
                     return
                 entries.popleft()
                 self._service_free = complete
-                self._process(write, complete)
+                self._process(paddr, value, size, complete)
             return
         free = self._service_free
         pmt = self.pmt
@@ -319,21 +320,21 @@ class Logger:
         #: rebind a log while one drain call runs, so caching is safe.
         sinks: dict[int, object] = {}
         while entries:
-            ready, write = entries[0]
+            ready, paddr, value, size = entries[0]
             start = ready if ready > free else free
             complete = start + service
             if limit is not None and complete > limit:
                 break
             entries.popleft()
             free = complete
-            ppn = write.paddr >> _PAGE_SHIFT
+            ppn = paddr >> _PAGE_SHIFT
             slot = slots.get(ppn & index_mask)
             if slot is None or slot.tag != ppn >> index_bits:
                 # PMT miss: generic path (it performs and counts its own
                 # PMT lookup, so none is counted here).
                 self._service_free = free
                 bus._busy_until = busy
-                self._process(write, complete)
+                self._process(paddr, value, size, complete)
                 free = self._service_free
                 busy = bus._busy_until
                 continue
@@ -348,7 +349,7 @@ class Logger:
                 # Boundary fault, absorbing log, or special mode.
                 self._service_free = free
                 bus._busy_until = busy
-                self._process(write, complete)
+                self._process(paddr, value, size, complete)
                 free = self._service_free
                 busy = bus._busy_until
                 continue
@@ -359,9 +360,9 @@ class Logger:
             if not advanced % PAGE_SIZE:
                 entry.valid = False
             payload = pack(
-                write.paddr & 0xFFFFFFFF,
-                write.value & 0xFFFFFFFF,
-                write.size,
+                paddr & 0xFFFFFFFF,
+                value & 0xFFFFFFFF,
+                size,
                 0,
                 (complete // divider) & 0xFFFFFFFF,
             )
@@ -398,8 +399,8 @@ class Logger:
     def idle_at(self) -> int:
         """Cycle at which the pipeline is next idle given queued work."""
         free = self._service_free
-        for ready, _ in self.write_fifo:
-            free = max(free, ready) + self.config.logger_service_cycles
+        for entry in self.write_fifo:
+            free = max(free, entry[0]) + self.config.logger_service_cycles
         return free
 
     def _handle_overload(self, now: int) -> None:
@@ -414,10 +415,10 @@ class Logger:
             self._fault_handler.overload(max(now, drain_complete))
         self.clock.advance_to(drain_complete)
 
-    def _process(self, write: BusWrite, complete_cycle: int) -> None:
+    def _process(self, paddr: int, value: int, size: int, complete_cycle: int) -> None:
         """Run one write through PMT → log table → record FIFO → DMA."""
         handler = self._fault_handler
-        log_index = self.pmt.lookup(write.paddr)
+        log_index = self.pmt.lookup(paddr)
         if log_index is None:
             # Logging fault: missing page-mapping-table entry.
             self.stats.logging_faults += 1
@@ -425,7 +426,7 @@ class Logger:
             if handler is None:
                 self.stats.records_dropped += 1
                 return
-            log_index, cycles = handler.pmt_miss(write.paddr)
+            log_index, cycles = handler.pmt_miss(paddr)
             self._service_free += cycles
             sp = probe._ACTIVE
             if sp is not None:
@@ -441,7 +442,7 @@ class Logger:
 
         mode = self._modes.get(log_index, LogMode.NORMAL)
         if mode is LogMode.DIRECT_MAPPED:
-            self._process_direct(write, log_index, complete_cycle)
+            self._process_direct(paddr, value, size, log_index, complete_cycle)
             return
 
         nbytes = LOG_RECORD_SIZE if mode is LogMode.NORMAL else INDEXED_ENTRY_SIZE
@@ -478,13 +479,10 @@ class Logger:
 
         if mode is LogMode.NORMAL:
             payload = encode_record(
-                write.paddr,
-                write.value,
-                write.size,
-                self.clock.timestamp(complete_cycle),
+                paddr, value, size, self.clock.timestamp(complete_cycle)
             )
         else:  # INDEXED: bare 4-byte value, no address or timestamp.
-            payload = (write.value & 0xFFFFFFFF).to_bytes(4, "little")
+            payload = (value & 0xFFFFFFFF).to_bytes(4, "little")
 
         # A crash here loses a record that was latched but not yet DMA'd.
         probe.hit("logger.dma", cycle=complete_cycle)
@@ -507,17 +505,17 @@ class Logger:
                 handler.record_written(log_index, dest, nbytes)
 
     def _process_direct(
-        self, write: BusWrite, log_index: int, complete_cycle: int
+        self, paddr: int, value: int, size: int, log_index: int, complete_cycle: int
     ) -> None:
         """Direct-mapped mode: mirror the value at the same page offset."""
         handler = self._fault_handler
-        dest_base = self._direct_map.get(write.paddr // PAGE_SIZE)
+        dest_base = self._direct_map.get(paddr // PAGE_SIZE)
         if dest_base is None:
             self.stats.records_dropped += 1
             return
-        dest = dest_base + write.paddr % PAGE_SIZE
+        dest = dest_base + paddr % PAGE_SIZE
         self.bus.acquire(complete_cycle, self.config.log_dma_bus_cycles)
-        self.memory.write(dest, write.value, write.size)
+        self.memory.write(dest, value, size)
         self.stats.records_logged += 1
         if handler is not None:
-            handler.record_written(log_index, dest, write.size)
+            handler.record_written(log_index, dest, size)

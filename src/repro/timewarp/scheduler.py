@@ -36,6 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover
 DISPATCH_CYCLES = 60
 
 
+def _take(counts: dict[int, int], uid: int) -> None:
+    """Remove one count of ``uid``, dropping the key at zero."""
+    remaining = counts[uid] - 1
+    if remaining:
+        counts[uid] = remaining
+    else:
+        del counts[uid]
+
+
 @dataclass
 class ProcessedEvent:
     """An event that was (optimistically) executed."""
@@ -117,6 +126,8 @@ class Scheduler:
         #: replacement share the uid, and each antimessage must kill
         #: exactly one queued copy.
         self._cancelled: dict[int, int] = {}
+        #: queued copies per uid, dead or live; a uid leaves at zero
+        self._queued: dict[int, int] = {}
         self.processed: list[ProcessedEvent] = []
         self._current: ProcessedEvent | None = None
         self._ctx = _Context(self)
@@ -138,16 +149,17 @@ class Scheduler:
 
     def enqueue(self, event: Event) -> None:
         heapq.heappush(self._queue, (event.key, event))
+        self._queued[event.uid] = self._queued.get(event.uid, 0) + 1
+
+    def _pop(self) -> Event:
+        _, event = heapq.heappop(self._queue)
+        _take(self._queued, event.uid)
+        return event
 
     def next_key(self) -> EventKey | None:
         """Key of the next pending event, skipping annihilated ones."""
         while self._queue and self._cancelled.get(self._queue[0][1].uid, 0) > 0:
-            _, dead = heapq.heappop(self._queue)
-            remaining = self._cancelled[dead.uid] - 1
-            if remaining:
-                self._cancelled[dead.uid] = remaining
-            else:
-                del self._cancelled[dead.uid]
+            _take(self._cancelled, self._pop().uid)
         return self._queue[0][0] if self._queue else None
 
     # ------------------------------------------------------------------
@@ -168,15 +180,16 @@ class Scheduler:
 
     def _receive_antimessage(self, event: Event) -> None:
         # Already-processed event: roll back, then annihilate the
-        # reinserted positive copy.
-        if any(p.event.uid == event.uid for p in self.processed):
+        # reinserted positive copy.  ``processed`` is in key order and
+        # every queued event comes after it (a straggler rolls back
+        # before it is queued), so one comparison finds a processed one.
+        if self.processed and event.key <= self.processed[-1].event.key:
             self.rollback(event.recv_time)
         # Annihilate one queued positive copy (lazy deletion).  Count
         # live copies against already-pending annihilations so each
         # antimessage kills exactly one.
         uid = event.uid
-        in_queue = sum(1 for _, e in self._queue if e.uid == uid)
-        if in_queue > self._cancelled.get(uid, 0):
+        if self._queued.get(uid, 0) > self._cancelled.get(uid, 0):
             self._cancelled[uid] = self._cancelled.get(uid, 0) + 1
         # An antimessage for an event never seen cannot happen with
         # in-order per-link delivery; tolerate it silently otherwise.
@@ -189,7 +202,7 @@ class Scheduler:
         key = self.next_key()
         if key is None or key.recv_time > self.sim.end_time:
             return False
-        _, event = heapq.heappop(self._queue)
+        event = self._pop()
         sp = probe._ACTIVE
         step_start = self.proc.now if sp is not None else 0
         self.proc.compute(DISPATCH_CYCLES)

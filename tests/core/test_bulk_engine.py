@@ -25,7 +25,7 @@ from repro.core.log_segment import LogSegment
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
 from repro.errors import ProtectionError, SegmentError, UnmappedAddressError
-from repro.hw.logger import LogMode
+from repro.hw.logger import Logger, LogMode
 from repro.hw.params import NEXT_GENERATION, PAGE_SIZE, MachineConfig
 from repro.sanitize import race
 
@@ -549,6 +549,92 @@ class TestScatterStoreExactness:
 
         run_pair(build_region(), drive)
         assert not fused_runs
+
+
+# ----------------------------------------------------------------------
+# FIFO handoff: the fused loop and the word loop share one write FIFO
+# ----------------------------------------------------------------------
+@pytest.fixture
+def handoff(monkeypatch):
+    """Spies on write-FIFO entries crossing between the fused loop and
+    the word loop's drain.  Entries are tracked by identity, so the
+    reference machine's equal-valued entries never count."""
+    seen = {"fused_backlogs": [], "fused_queued": {}, "word_drained": []}
+    inside = []
+    real_fused = bulk._write_run_bus_logged
+    real_drain = Logger._drain_fast
+
+    def fused(cpu, machine, *rest):
+        entries = machine.logger.write_fifo._entries
+        before = {id(e) for e in entries}
+        seen["fused_backlogs"].append(len(entries))
+        inside.append(True)
+        try:
+            return real_fused(cpu, machine, *rest)
+        finally:
+            inside.pop()
+            seen["fused_queued"].update((id(e), e) for e in entries if id(e) not in before)
+
+    def drain(self, limit):
+        before = list(self.write_fifo._entries)
+        real_drain(self, limit)
+        if not inside:
+            # A drain only pops from the head.
+            seen["word_drained"] += before[: len(before) - len(self.write_fifo._entries)]
+
+    monkeypatch.setattr(bulk, "_write_run_bus_logged", fused)
+    monkeypatch.setattr(Logger, "_drain_fast", drain)
+    return seen
+
+
+def test_word_loop_and_fused_calls_share_a_backlogged_fifo(handoff):
+    """Word-loop stores and fused calls (``write_block``, ``write_words``)
+    interleave on one logged page while the FIFO holds a backlog, so
+    each path drains entries the other queued.  Page 2 shares page 0's
+    PMT index and evicts it, and the run logs more than a log page of
+    records."""
+    config = BASE.with_changes(pmt_index_bits=1)
+    rng = random.Random(30)
+    rounds = []
+    for r in range(8):
+        page = 2 * PAGE_SIZE if r % 3 == 2 else 0
+        base = page + 512 * (r % 4)
+        rounds.append((
+            [(base + 4 * j, rng.getrandbits(32), 4) for j in range(20)],
+            rng.randbytes(64),
+            [(base + 96 + 8 * j, rng.getrandbits(32), 4) for j in range(6)],
+            [(base + 160 + 4 * j, rng.getrandbits(32), 4) for j in range(3)],
+        ))
+
+    def build(m):
+        ctx = build_region()(m)
+        aspace = m.current_process.address_space()
+        for page in range(3):  # fault in pages 0, 1, 2 in order
+            aspace.write(m.cpu(0), ctx["va"] + page * PAGE_SIZE, 0)
+        m.quiesce()
+        return ctx
+
+    def drive(m, ctx, bp):
+        aspace = m.current_process.address_space()
+        cpu = m.cpu(0)
+        va = ctx["va"]
+        for words, block, scattered, tail in rounds:
+            for off, value, size in words:
+                aspace.write(cpu, va + off, value, size)
+            store(m, va + words[-1][0] + 4, block, bp)
+            for off, value, size in tail:
+                aspace.write(cpu, va + off, value, size)
+            scatter(m, [(va + off, value, size) for off, value, size in scattered], bp)
+        m.logger.flush()
+
+    state = run_pair(build, drive, config=config)
+    assert state["logger_stats"]["pmt_fault_count"] > 0
+    assert state["logger_stats"]["boundary_fault_count"] > 0
+    assert any(handoff["fused_backlogs"]), "no fused call met a backlog"
+    queued = handoff["fused_queued"]
+    assert any(id(e) in queued for e in handoff["word_drained"]), (
+        "the word loop never drained an entry a fused call queued"
+    )
 
 
 class TestReadExactness:
