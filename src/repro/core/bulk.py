@@ -201,9 +201,8 @@ def _write_run(
             if sp is not None:
                 sp.inc("core.bulk.write_runs_fast")
         else:
-            # Unusual configuration (modeled L2, extra snoopers) or an
-            # installed fault plan / detailed tracer: use the
-            # word-at-a-time path, which is always exact.
+            # A modeled L2, an installed fault plan or a detailed
+            # tracer: use the word-at-a-time path, which is always exact.
             sp = probe._ACTIVE
             if sp is not None:
                 sp.inc("core.bulk.write_runs_slow")
@@ -336,8 +335,7 @@ def _write_run_bus_logged(cpu, machine, plan, write, span):
     """
     logger = machine.logger
     bus = cpu.bus
-    snoopers = bus._snoopers
-    if cpu.l2 is not None or len(snoopers) != 1 or snoopers[0] is not logger:
+    if cpu.l2 is not None:
         return False
     sp = probe._ACTIVE
     if sp is not None and sp.detail:

@@ -13,6 +13,11 @@ paper describes:
   not provided one, records are absorbed into a default page and lost.
 * On a logger-overload interrupt it suspends all processes that might
   generate log data until the FIFOs drain.
+
+The logger raises these interrupts by calling :meth:`Kernel.pmt_miss`,
+:meth:`Kernel.log_boundary` and :meth:`Kernel.overload` directly (the
+:class:`~repro.hw.logger.LoggingFaultHandler` protocol); its
+``LoggerStats`` counts each one.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from typing import TYPE_CHECKING
 from repro import probe
 from repro.errors import LoggingError, UnsupportedOperationError
 from repro.hw.cpu import CPU
-from repro.hw.interrupts import Interrupt
 from repro.hw.logger import LogMode
 from repro.hw.params import PAGE_SIZE
 from repro.core.address_space import AddressSpace, PageTableEntry
@@ -39,8 +43,6 @@ class KernelStats:
     def __init__(self) -> None:
         self.page_faults = 0
         self.logged_page_faults = 0
-        self.logging_faults = 0
-        self.overloads = 0
         self.direct_mapped_updates = 0
         self.protection_faults = 0
 
@@ -68,13 +70,6 @@ class Kernel:
         default_frame = machine.memory.allocate_frame()
         machine.logger.set_default_page(default_frame.base_addr)
         machine.logger.attach_fault_handler(self)
-
-        # Route hardware events through the interrupt controller so the
-        # counts are observable like real vectors.
-        ic = machine.interrupts
-        ic.register(Interrupt.LOGGING_FAULT_PMT, self._handle_pmt_miss)
-        ic.register(Interrupt.LOGGING_FAULT_BOUNDARY, self._handle_log_boundary)
-        ic.register(Interrupt.LOGGER_OVERLOAD, self._handle_overload)
 
     # ------------------------------------------------------------------
     # Page faults
@@ -309,19 +304,27 @@ class Kernel:
     # LoggingFaultHandler protocol (called by the hardware logger)
     # ------------------------------------------------------------------
     def pmt_miss(self, paddr: int) -> tuple[int | None, int]:
-        return self.machine.interrupts.raise_interrupt(
-            Interrupt.LOGGING_FAULT_PMT, paddr
-        )
+        """Reload a missing/evicted page-mapping-table entry."""
+        index = self._page_log_map.get(paddr // PAGE_SIZE)
+        if index is None:
+            return None, self.config.logging_fault_cycles
+        self.machine.logger.pmt.load(paddr, index)
+        return index, self.config.logging_fault_cycles
 
     def log_boundary(self, log_index: int) -> tuple[int | None, int]:
-        return self.machine.interrupts.raise_interrupt(
-            Interrupt.LOGGING_FAULT_BOUNDARY, log_index
-        )
+        """Supply the next page of a log segment (or None → default page)."""
+        entry = self._logs.get(log_index)
+        if entry is None:
+            return None, self.config.logging_fault_cycles
+        return entry[0].hw_append_paddr(), self.config.logging_fault_cycles
 
     def overload(self, drain_complete_cycle: int) -> None:
-        self.machine.interrupts.raise_interrupt(
-            Interrupt.LOGGER_OVERLOAD, drain_complete_cycle
-        )
+        """Suspend all CPUs until the FIFOs have drained (section 3.1.3)."""
+        resume = drain_complete_cycle + self.config.overload_suspend_cycles
+        sp = probe._ACTIVE
+        if sp is not None:
+            sp.instant("kernel", "kernel.overload_suspend", drain_complete_cycle)
+        self.machine.suspend_all_until(resume)
 
     def record_written(self, log_index: int, paddr: int, nbytes: int) -> None:
         entry = self._logs.get(log_index)
@@ -354,32 +357,3 @@ class Kernel:
         if type(log).note_append is not LogSegment.note_append:
             return None
         return log
-
-    # ------------------------------------------------------------------
-    # Interrupt handlers
-    # ------------------------------------------------------------------
-    def _handle_pmt_miss(self, paddr: int) -> tuple[int | None, int]:
-        """Reload a missing/evicted page-mapping-table entry."""
-        self.stats.logging_faults += 1
-        index = self._page_log_map.get(paddr // PAGE_SIZE)
-        if index is None:
-            return None, self.config.logging_fault_cycles
-        self.machine.logger.pmt.load(paddr, index)
-        return index, self.config.logging_fault_cycles
-
-    def _handle_log_boundary(self, log_index: int) -> tuple[int | None, int]:
-        """Supply the next page of a log segment (or None → default page)."""
-        self.stats.logging_faults += 1
-        entry = self._logs.get(log_index)
-        if entry is None:
-            return None, self.config.logging_fault_cycles
-        return entry[0].hw_append_paddr(), self.config.logging_fault_cycles
-
-    def _handle_overload(self, drain_complete_cycle: int) -> None:
-        """Suspend all CPUs until the FIFOs have drained (section 3.1.3)."""
-        self.stats.overloads += 1
-        resume = drain_complete_cycle + self.config.overload_suspend_cycles
-        sp = probe._ACTIVE
-        if sp is not None:
-            sp.instant("kernel", "kernel.overload_suspend", drain_complete_cycle)
-        self.machine.suspend_all_until(resume)

@@ -3,16 +3,17 @@
 This package models the machine the paper's prototype ran on: a
 four-CPU 25 MHz shared-bus multiprocessor with a bus-snooping logging
 device (sections 3.1 and 4.1), plus the next-generation on-chip logger
-sketched in section 4.6.  All timing constants are collected in
+sketched in section 4.6.  The bus hands each logged write straight to
+the logger, and the logger calls the kernel's fault and overload
+handlers straight through :class:`~repro.hw.logger.LoggingFaultHandler`.  All timing constants are collected in
 :class:`repro.hw.params.MachineConfig`.
 """
 
-from repro.hw.bus import BusWrite, SystemBus
+from repro.hw.bus import SystemBus
 from repro.hw.cache import L1Cache
 from repro.hw.clock import Clock
 from repro.hw.cpu import CPU, CpuStats
 from repro.hw.fifo import HardwareFifo
-from repro.hw.interrupts import Interrupt, InterruptController
 from repro.hw.log_table import LogTable, LogTableEntry
 from repro.hw.logger import Logger, LoggerStats, LogMode
 from repro.hw.machine import Machine
@@ -42,15 +43,12 @@ from repro.hw.records import (
 from repro.hw.tlb_logger import OnChipLogger
 
 __all__ = [
-    "BusWrite",
     "SystemBus",
     "L1Cache",
     "Clock",
     "CPU",
     "CpuStats",
     "HardwareFifo",
-    "Interrupt",
-    "InterruptController",
     "LogTable",
     "LogTableEntry",
     "Logger",

@@ -3,45 +3,21 @@
 All CPUs, the logger's DMA engine, and the second-level cache share one
 bus (section 4.1).  The bus serialises transactions: a transaction
 requested at time *t* starts when the bus is free, occupies a fixed
-number of bus cycles, and completes at start + cycles.  Write
-transactions are presented to registered snoopers — this is how the
-logger observes logged writes ("a bus signal controlled by the page
-mapping associated with the address indicates whether the write
-operation is to be logged", section 3.1).
+number of bus cycles, and completes at start + cycles.  A write whose
+page mapping asserts the bus "log" signal ("a bus signal controlled by
+the page mapping associated with the address indicates whether the
+write operation is to be logged", section 3.1) is handed to the one
+logger on the bus, :attr:`SystemBus.logger`, at its completion cycle.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Protocol
+from typing import TYPE_CHECKING
 
 from repro import probe
 
-
-class BusWrite(NamedTuple):
-    """A write transaction as seen on the bus.
-
-    A NamedTuple rather than a dataclass: one is constructed per
-    write-through store, and tuple construction is the cheapest
-    immutable record Python offers.
-    """
-
-    paddr: int
-    value: int
-    size: int
-    #: Bus "log" signal: the log-table index this write should be logged
-    #: under, or ``None`` for unlogged writes.
-    log_tag: Optional[int]
-    #: Index of the CPU that issued the write (used to attribute
-    #: overload penalties back to the writer).
-    cpu_index: int
-
-
-class BusSnooper(Protocol):
-    """A device that observes write transactions on the bus."""
-
-    def snoop_write(self, complete_cycle: int, write: BusWrite) -> None:
-        """Called when a write transaction completes on the bus."""
-        ...  # pragma: no cover - protocol
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.hw.logger import Logger
 
 
 class SystemBus:
@@ -49,7 +25,8 @@ class SystemBus:
 
     def __init__(self) -> None:
         self._busy_until = 0
-        self._snoopers: list[BusSnooper] = []
+        #: the bus-snooping logger; None when the machine logs on chip
+        self.logger: Logger | None = None
         self.total_busy_cycles = 0
         self.transaction_count = 0
 
@@ -57,13 +34,6 @@ class SystemBus:
     def busy_until(self) -> int:
         """Cycle at which the bus next becomes free."""
         return self._busy_until
-
-    def add_snooper(self, snooper: BusSnooper) -> None:
-        """Register a device to observe write transactions."""
-        self._snoopers.append(snooper)
-
-    def remove_snooper(self, snooper: BusSnooper) -> None:
-        self._snoopers.remove(snooper)
 
     def acquire(self, request_cycle: int, bus_cycles: int) -> int:
         """Run a generic transaction; returns its completion cycle."""
@@ -78,20 +48,30 @@ class SystemBus:
         return complete
 
     def write_transaction(
-        self, request_cycle: int, bus_cycles: int, write: BusWrite
+        self,
+        request_cycle: int,
+        bus_cycles: int,
+        paddr: int,
+        value: int,
+        size: int,
+        log_tag: int | None,
+        cpu_index: int,
     ) -> int:
-        """Run a write transaction and present it to snoopers.
+        """Run a write transaction; returns its completion cycle.
 
-        Returns the completion cycle.  Snoopers see the write at its
-        completion time, which is when the logger latches it into the
-        write FIFO.
+        ``log_tag`` is the bus "log" signal: the log-table index the
+        write is logged under, or None for an unlogged write.  A logged
+        write reaches the logger at its completion cycle, which is when
+        the logger latches it into the write FIFO.
         """
         complete = self.acquire(request_cycle, bus_cycles)
-        sp = probe._ACTIVE
-        if sp is not None:
-            sp.bus_write(complete, write)
-        for snooper in self._snoopers:
-            snooper.snoop_write(complete, write)
+        if log_tag is not None:
+            sp = probe._ACTIVE
+            if sp is not None:
+                sp.logged_run(cpu_index, paddr, size, complete)
+            logger = self.logger
+            if logger is not None:
+                logger.snoop_write(complete, paddr, value, size)
         return complete
 
     def utilisation(self, elapsed_cycles: int) -> float:

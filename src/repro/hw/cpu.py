@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.hw.bus import BusWrite, SystemBus
+from repro.hw.bus import SystemBus
 from repro.hw.cache import L1Cache
 from repro.hw.clock import Clock
 from repro.hw.params import MachineConfig
@@ -130,8 +130,8 @@ class CPU:
 
         Used for pages of logged regions (the kernel "puts the on-chip
         data cache in write-through mode for the logged page", section
-        3.2).  Returns the bus-completion cycle.  The logger snoops the
-        transaction when ``log_tag`` is not None.
+        3.2).  Returns the bus-completion cycle.  The bus hands the write
+        to the logger when ``log_tag`` is not None.
         """
         self._apply_suspension()
         self.stats.stores += 1
@@ -150,15 +150,13 @@ class CPU:
             self._advance(self.config.cached_write_cycles)
         else:
             self._advance(self._l2_fill_cycles(paddr))
-        write = BusWrite(
-            paddr=paddr, value=value, size=size, log_tag=log_tag, cpu_index=self.index
-        )
         complete = self.bus.write_transaction(
-            self._now, self.config.write_through_bus_cycles, write
+            self._now, self.config.write_through_bus_cycles,
+            paddr, value, size, log_tag, self.index,
         )
         buf.append(complete)
         self.clock.advance_to(complete)
-        # An overload raised during the snoop may have suspended us.
+        # An overload raised by the logger may have suspended us.
         self._apply_suspension()
         return complete
 

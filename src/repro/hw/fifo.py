@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Iterator
 
 from repro import probe
 from repro.errors import ConfigError
@@ -63,9 +62,6 @@ class HardwareFifo:
 
     def __bool__(self) -> bool:
         return bool(self._entries)
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._entries)
 
     @property
     def occupancy(self) -> int:

@@ -30,7 +30,7 @@ import enum
 from typing import Protocol
 
 from repro import probe
-from repro.hw.bus import BusWrite, SystemBus
+from repro.hw.bus import SystemBus
 from repro.hw.clock import Clock
 from repro.hw.fifo import HardwareFifo, PushResult
 from repro.hw.log_table import LogTable
@@ -203,16 +203,15 @@ class Logger:
     # ------------------------------------------------------------------
     # Bus snooping (producer side)
     # ------------------------------------------------------------------
-    def snoop_write(self, complete_cycle: int, write: BusWrite) -> None:
-        """Observe a completed bus write (SystemBus snooper hook).
+    def snoop_write(self, complete_cycle: int, paddr: int, value: int, size: int) -> None:
+        """Latch a logged bus write into the write FIFO.
 
-        Only writes whose page mapping asserted the bus "log" signal are
-        latched (section 3.1), as ``(ready, paddr, value, size)``.
+        The bus calls this only for writes whose page mapping asserted
+        the "log" signal (section 3.1); the write is queued as
+        ``(ready, paddr, value, size)``.
         """
-        if write.log_tag is None:
-            return
         self.drain(complete_cycle)
-        result = self.write_fifo.push(complete_cycle, write.paddr, write.value, write.size)
+        result = self.write_fifo.push(complete_cycle, paddr, value, size)
         sp = probe._ACTIVE
         if sp is not None:
             sp.counter_track(
@@ -394,14 +393,6 @@ class Logger:
         bus.transaction_count += transactions
         stats.records_logged += logged
         pmt.lookup_count += lookups
-
-    @property
-    def idle_at(self) -> int:
-        """Cycle at which the pipeline is next idle given queued work."""
-        free = self._service_free
-        for entry in self.write_fifo:
-            free = max(free, entry[0]) + self.config.logger_service_cycles
-        return free
 
     def _handle_overload(self, now: int) -> None:
         """FIFO crossed the threshold: interrupt and drain (section 3.1.3)."""

@@ -1,9 +1,10 @@
 """The simulated ParaDiGM machine.
 
-Wires together the CPUs, the shared system bus, physical memory, the
-interrupt controller and the bus-snooping logger (Figure 4 of the
-paper).  The operating-system layer (:mod:`repro.core.kernel`) boots on
-top of a :class:`Machine` and installs its fault handlers.
+Wires together the CPUs, the shared system bus, physical memory and the
+bus-snooping logger (Figure 4 of the paper): the bus hands each logged
+write to the logger, and the logger calls the kernel's handlers
+directly.  The operating-system layer (:mod:`repro.core.kernel`) boots
+on top of a :class:`Machine` and attaches itself as those handlers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from repro.hw.bus import SystemBus
 from repro.hw.clock import Clock
 from repro.hw.cache import L2Cache
 from repro.hw.cpu import CPU
-from repro.hw.interrupts import InterruptController
 from repro.hw.logger import Logger
 from repro.hw.memory import PhysicalMemory
 from repro.hw.params import PROTOTYPE, MachineConfig
@@ -35,7 +35,6 @@ class Machine:
         self.clock = Clock(self.config.timestamp_divider)
         self.memory = PhysicalMemory(self.config.num_frames)
         self.bus = SystemBus()
-        self.interrupts = InterruptController()
         self.cpus = [
             CPU(i, self.config, self.bus, self.clock)
             for i in range(self.config.num_cpus)
@@ -57,7 +56,7 @@ class Machine:
             )
         else:
             # The prototype logger snoops the system bus (section 3.1).
-            self.bus.add_snooper(self.logger)
+            self.bus.logger = self.logger
         #: set by the OS layer at boot
         self.kernel = None
 

@@ -51,12 +51,11 @@ EVENTS = frozenset({
     # span/metric vocabulary (Observability)
     "span", "span_begin", "span_end", "instant", "flow_start", "flow_step",
     "flow_end", "counter_track", "inc", "observe", "set_gauge",
-    # hw
-    "bus_txn", "bus_write", "global_sync", "log_drained", "logger_overload",
-    "logging_fault", "logger_dma",
+    # hw (``logged_run`` also from the bulk engine's fused loop)
+    "bus_txn", "logged_run", "global_sync", "log_drained",
+    "logger_overload", "logging_fault", "logger_dma",
     # core
-    "logged_run", "protection_trap", "deferred_copy_reset",
-    "log_watched", "log_rewound",
+    "protection_trap", "deferred_copy_reset", "log_watched", "log_rewound",
     # timewarp
     "tw_event", "tw_rollback", "tw_gvt", "msg_send", "msg_recv",
     # rvm/backends: bracketing stages

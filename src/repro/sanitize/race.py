@@ -29,9 +29,10 @@ in :attr:`LogRaceDetector.open_stages`; a ``fault_crash`` clears them,
 because a CrashPoint leaves its stages open on purpose.
 
 The detector is a :mod:`repro.probe` subscriber (kind ``race``): the
-bus, the bulk engine, the machine and the Time Warp kernel emit
-``bus_write``/``logged_run``/``global_sync``/``msg_send``/``msg_recv``
-behind the spine's one gate, so a run without it pays a single
+bus and the bulk engine emit ``logged_run`` for each logged write, and
+the machine and the Time Warp kernel emit
+``global_sync``/``msg_send``/``msg_recv``, all behind the spine's one
+gate, so a run without it pays a single
 ``is None`` check per site and stays cycle- and log-record-identical
 (guarded by ``tests/test_probe_exactness.py``).
 """
@@ -115,7 +116,6 @@ class LogRaceDetector:
 
     def probes(self) -> dict:
         return {
-            "bus_write": self._bus_write,
             "logged_run": self.logged_run,
             "global_sync": self.global_sync,
             "msg_send": self.msg_send,
@@ -136,10 +136,6 @@ class LogRaceDetector:
             self.open_stages[key] = depth  # negative: closed, never opened
         else:
             del self.open_stages[key]
-
-    def _bus_write(self, complete: int, write) -> None:
-        if write.log_tag is not None:
-            self.logged_run(write.cpu_index, write.paddr, write.size, complete)
 
     def logged_run(self, cpu: int, paddr: int, nbytes: int, cycle: int) -> None:
         """A CPU wrote ``nbytes`` starting at ``paddr`` on a logged page."""

@@ -27,6 +27,15 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "no_lvm_san: run without the --lvm-san detector (the test asserts "
+        "a path an attached probe subscriber changes, or leaves a stage "
+        "open on purpose)",
+    )
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_subscribers():
     """A test that dies mid-injection or mid-trace must not poison its
@@ -41,15 +50,21 @@ def _no_leaked_subscribers():
 
 @pytest.fixture(autouse=True)
 def _lvm_san(request):
-    """Under ``--lvm-san``, run the test inside a LogRaceDetector.
+    """Under ``--lvm-san``, run the test inside a LogRaceDetector and
+    fail it on a race or on a probe stage left open at its end.
 
-    Tests that install their own detector (tests/sanitize) opt out by
-    uninstalling first; a leaked detector is cleared with every other
-    spine subscriber by the fixture above.
+    Tests marked ``no_lvm_san`` run bare.  Tests that install their own
+    detector (tests/sanitize) opt out by uninstalling first; a leaked
+    detector is cleared with every other spine subscriber by the
+    fixture above.
     """
     from repro.sanitize import race
 
-    if not request.config.getoption("--lvm-san") or race.active() is not None:
+    if (
+        not request.config.getoption("--lvm-san")
+        or request.node.get_closest_marker("no_lvm_san") is not None
+        or race.active() is not None
+    ):
         yield
         return
     detector = race.LogRaceDetector()
@@ -58,7 +73,9 @@ def _lvm_san(request):
         yield
     finally:
         race.uninstall()
-    assert not detector.races_seen, f"--lvm-san:\n{detector.summary()}"
+    assert not detector.races_seen and not detector.open_stages, (
+        f"--lvm-san:\n{detector.summary()}"
+    )
 
 
 @pytest.fixture

@@ -62,7 +62,6 @@ def machine_state(m, ctx):
         },
         "absorbing": set(lg._absorbing),
         "kernel_stats": m.kernel.stats.snapshot(),
-        "interrupts": dict(m.interrupts.counts),
         "segments": [seg.snapshot() for seg in ctx.get("segments", ())],
         "logs": [
             (log.append_offset, log.records_appended, log.lost_records, log.snapshot())
@@ -378,6 +377,7 @@ def fused_runs(monkeypatch):
 
 
 class TestScatterStoreExactness:
+    @pytest.mark.no_lvm_san
     def test_strided_words_within_and_across_pages(self, fused_runs):
         rng = random.Random(21)
         calls = [(strided_writes(rng, 0, 4 * PAGE_SIZE), rng.randrange(50)) for _ in range(6)]
@@ -392,6 +392,7 @@ class TestScatterStoreExactness:
         assert state["logger_stats"]["records_logged"] > 0
         assert any(fused_runs)
 
+    @pytest.mark.no_lvm_san
     def test_repeated_address_last_write_wins(self, fused_runs):
         def drive(m, ctx, bp):
             va = ctx["va"] + 64
@@ -412,6 +413,7 @@ class TestScatterStoreExactness:
 
         run_pair(build_region(), drive)
 
+    @pytest.mark.no_lvm_san
     def test_deferred_copy_destination_over_a_nonzero_source(self, fused_runs):
         def build(m):
             src = StdSegment(2 * PAGE_SIZE, machine=m)
@@ -435,6 +437,7 @@ class TestScatterStoreExactness:
         run_pair(build, drive)
         assert any(fused_runs)
 
+    @pytest.mark.no_lvm_san
     def test_overload_with_low_threshold(self, fused_runs):
         config = BASE.with_changes(logger_fifo_capacity=32, logger_overload_threshold=4)
         writes = strided_writes(random.Random(24), 0, 2 * PAGE_SIZE, runs=20)
@@ -447,6 +450,7 @@ class TestScatterStoreExactness:
         assert state["cpu_stats"]["suspend_cycles"] > 0
         assert any(fused_runs)
 
+    @pytest.mark.no_lvm_san
     def test_overflow_with_tight_fifo(self, fused_runs):
         config = BASE.with_changes(logger_fifo_capacity=4, logger_overload_threshold=4)
         writes = strided_writes(random.Random(25), 0, 2 * PAGE_SIZE, runs=20)
@@ -459,6 +463,7 @@ class TestScatterStoreExactness:
         assert state["logger_stats"]["overload_events"] == 0
         assert any(fused_runs)
 
+    @pytest.mark.no_lvm_san
     def test_pmt_conflict_misses(self, fused_runs):
         # As in the block test: region pages 0 and 2 share a PMT index.
         config = BASE.with_changes(pmt_index_bits=1)
@@ -477,6 +482,7 @@ class TestScatterStoreExactness:
         assert state["logger_stats"]["pmt_fault_count"] > 0
         assert any(fused_runs)
 
+    @pytest.mark.no_lvm_san
     def test_protection_trap_with_unprotect_handler(self, fused_runs):
         def build(m):
             ctx = build_region()(m)
@@ -498,6 +504,7 @@ class TestScatterStoreExactness:
         assert state["kernel_stats"]["protection_faults"] == 1
         assert any(fused_runs)
 
+    @pytest.mark.no_lvm_san
     def test_first_touch_page_fault(self, fused_runs):
         # The first call's page runs fault their pages in on the word
         # loop; the second call's take the fused loop.
@@ -537,6 +544,7 @@ class TestScatterStoreExactness:
         assert state["onchip"][0] > 0
         assert not fused_runs
 
+    @pytest.mark.no_lvm_san
     def test_attached_subscriber_falls_back(self, fused_runs):
         # A race detector sees one logged_run per store on the word
         # loop; the scatter store must show it exactly the same.

@@ -8,7 +8,6 @@ from repro.core.context import boot, set_current_machine
 from repro.core.log_segment import LogSegment
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
-from repro.hw.interrupts import Interrupt
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE, MachineConfig
 
 
@@ -55,18 +54,16 @@ class TestInterruptRouting:
         for i in range(per_page + 1):
             proc.write(va + 4 * (i % 1024), i)
         machine.quiesce()
-        counts = machine.interrupts.counts
         # The first page is loaded eagerly at attach; crossing into the
         # second page raises the boundary fault.
-        assert counts[Interrupt.LOGGING_FAULT_BOUNDARY] >= 1
+        assert machine.logger.stats.boundary_fault_count >= 1
 
     def test_overload_vector_counted(self, machine, proc):
         region, log, va = make_logged_region(machine)
         for i in range(1500):
             proc.write(va + 4 * (i % 1024), i)
         machine.quiesce()
-        assert machine.interrupts.counts[Interrupt.LOGGER_OVERLOAD] >= 1
-        assert machine.kernel.stats.overloads >= 1
+        assert machine.logger.stats.overload_events >= 1
 
 
 class TestKernelStats:

@@ -197,6 +197,7 @@ class TestMutationGuards:
         with pytest.raises(CrashCheckFailure, match="diverges"):
             check_run(result)
 
+    @pytest.mark.no_lvm_san
     def test_dropped_begin_marker_is_self_detected(self):
         """Losing a transaction's control-word marker record is caught
         by RLVM itself at commit: records without a begin marker."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hw.bus import BusWrite, SystemBus
+from repro.hw.bus import SystemBus
 from repro.hw.cache import L1Cache
 from repro.hw.clock import Clock
 from repro.hw.cpu import CPU
@@ -38,31 +38,24 @@ class TestSystemBus:
         assert bus.utilisation(20) == 0.5
 
     def test_snooper_sees_write(self):
+        """The bus hands each logged write to its one logger as
+        ``(complete, paddr, value, size)``; unlogged writes, and every
+        write on a bus without a logger, reach nobody."""
         bus = SystemBus()
         seen = []
 
         class Snoop:
-            def snoop_write(self, cycle, write):
-                seen.append((cycle, write))
+            def snoop_write(self, cycle, paddr, value, size):
+                seen.append((cycle, paddr, value, size))
 
-        bus.add_snooper(Snoop())
-        w = BusWrite(paddr=64, value=1, size=4, log_tag=0, cpu_index=0)
-        complete = bus.write_transaction(0, 5, w)
-        assert seen == [(complete, w)]
-
-    def test_remove_snooper(self):
-        bus = SystemBus()
-        seen = []
-
-        class Snoop:
-            def snoop_write(self, cycle, write):
-                seen.append(cycle)
-
-        snoop = Snoop()
-        bus.add_snooper(snoop)
-        bus.remove_snooper(snoop)
-        bus.write_transaction(0, 5, BusWrite(0, 0, 4, None, 0))
-        assert seen == []
+        bus.logger = Snoop()
+        complete = bus.write_transaction(0, 5, 64, 1, 4, 0, 0)
+        assert seen == [(complete, 64, 1, 4)]
+        bus.write_transaction(0, 5, 64, 2, 4, None, 0)
+        bus.logger = None
+        bus.write_transaction(0, 5, 64, 3, 4, 0, 0)
+        assert seen == [(complete, 64, 1, 4)]
+        assert bus.transaction_count == 3
 
 
 class TestL1Cache:

@@ -14,7 +14,7 @@ Each class pins a bug that existed in the original code:
   overload-suspension ``_resume_at``.
 """
 
-from repro.hw.bus import BusWrite, SystemBus
+from repro.hw.bus import SystemBus
 from repro.hw.clock import Clock
 from repro.hw.cpu import CPU
 from repro.hw.fifo import HardwareFifo, PushResult
@@ -85,7 +85,7 @@ class TestLoggerFaultTiming:
         # Service of the record starts at 100 and completes at 128; the
         # 800-cycle pmt_miss handler returns at 928.  The DMA and the
         # record's timestamp must happen at 928, not 128.
-        logger.snoop_write(100, BusWrite(frame.base_addr, 0xABCD, 4, 1, 0))
+        logger.snoop_write(100, frame.base_addr, 0xABCD, 4)
         logger.flush()
 
         assert logger._service_free == 928
@@ -100,7 +100,7 @@ class TestLoggerFaultTiming:
         logger.pmt.load(frame.base_addr, 1)
         # No log-table entry: the first record takes a boundary fault,
         # serviced in 800 cycles; its DMA and timestamp land at 928.
-        logger.snoop_write(100, BusWrite(frame.base_addr, 0x1111, 4, 1, 0))
+        logger.snoop_write(100, frame.base_addr, 0x1111, 4)
         logger.flush()
 
         assert logger._service_free == 928
@@ -118,7 +118,7 @@ class TestLoggerFaultTiming:
         handler.next_page = 1
         logger.log_table.load(1, log_base)
 
-        logger.snoop_write(100, BusWrite(frame.base_addr, 0x2222, 4, 1, 0))
+        logger.snoop_write(100, frame.base_addr, 0x2222, 4)
         logger.flush()
 
         assert logger._service_free == 128
@@ -138,7 +138,7 @@ class TestFifoOverflowAccounting:
         # Five writes land on the bus at cycle 0; none can be serviced
         # yet, so the fifth hits hard capacity and is lost.
         for _ in range(5):
-            logger.snoop_write(0, BusWrite(frame.base_addr, 1, 4, 1, 0))
+            logger.snoop_write(0, frame.base_addr, 1, 4)
 
         assert logger.write_fifo.occupancy == 4
         assert logger.write_fifo.overflow_count == 1
@@ -157,7 +157,7 @@ class TestFifoOverflowAccounting:
         logger.log_table.load(1, log_base)
 
         for _ in range(3):
-            logger.snoop_write(0, BusWrite(frame.base_addr, 1, 4, 1, 0))
+            logger.snoop_write(0, frame.base_addr, 1, 4)
 
         assert logger.stats.overload_events == 1
         assert len(handler.overloads) == 1

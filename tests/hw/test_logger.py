@@ -7,7 +7,7 @@ default-page absorption, and overload.
 """
 
 
-from repro.hw.bus import BusWrite, SystemBus
+from repro.hw.bus import SystemBus
 from repro.hw.clock import Clock
 from repro.hw.logger import Logger, LogMode
 from repro.hw.memory import PhysicalMemory
@@ -69,17 +69,21 @@ def data_page(memory):
     return memory.allocate_frame()
 
 
-def write_at(paddr, value=0x4321, cpu=0):
-    return BusWrite(paddr=paddr, value=value, size=4, log_tag=1, cpu_index=cpu)
+def write_at(paddr, value=0x4321):
+    """A 4-byte logged write, as ``snoop_write``'s ``(paddr, value, size)``."""
+    return paddr, value, 4
 
 
 class TestLoggerPipeline:
     def test_untagged_writes_ignored(self):
+        """Without the bus "log" signal the logger never sees the write."""
         logger, handler, memory, _ = make_logger()
+        logger.bus.logger = logger
         frame = data_page(memory)
-        w = BusWrite(frame.base_addr, 1, 4, log_tag=None, cpu_index=0)
-        logger.snoop_write(10, w)
+        logger.bus.write_transaction(10, 5, frame.base_addr, 1, 4, None, 0)
         assert logger.write_fifo.occupancy == 0
+        logger.bus.write_transaction(20, 5, frame.base_addr, 1, 4, 1, 0)
+        assert logger.write_fifo.occupancy == 1
 
     def test_record_dma_contents(self):
         """The DMA'd record carries address, value, size, timestamp."""
@@ -90,7 +94,7 @@ class TestLoggerPipeline:
         handler.next_page = 1
         logger.log_table.load(1, log_base)
 
-        logger.snoop_write(100, write_at(frame.base_addr + 0x40, 0x4321))
+        logger.snoop_write(100, *write_at(frame.base_addr + 0x40, 0x4321))
         logger.flush()
 
         raw = memory.read_bytes(log_base, LOG_RECORD_SIZE)
@@ -112,7 +116,7 @@ class TestLoggerPipeline:
         logger.log_table.load(1, log_base)
 
         for i in range(10):
-            logger.snoop_write(100 + 40 * i, write_at(frame.base_addr + 4 * i, i))
+            logger.snoop_write(100 + 40 * i, *write_at(frame.base_addr + 4 * i, i))
         logger.flush()
 
         values = [
@@ -129,7 +133,7 @@ class TestLoggerPipeline:
         handler.next_page = 1
         logger.log_table.load(1, log_base)
         for i in range(20):
-            logger.snoop_write(10 * i, write_at(frame.base_addr + 4 * i, i))
+            logger.snoop_write(10 * i, *write_at(frame.base_addr + 4 * i, i))
         logger.flush()
         stamps = [
             decode_record(memory.read_bytes(log_base + 16 * i, 16)).timestamp
@@ -145,19 +149,19 @@ class TestLoggerPipeline:
         handler.next_page = 1
         logger.log_table.load(1, log_base)
 
-        logger.snoop_write(100, write_at(frame.base_addr))
+        logger.snoop_write(100, *write_at(frame.base_addr))
         logger.flush()
         assert logger.stats.pmt_fault_count == 1
         assert logger.stats.records_logged == 1
         # The entry is now loaded: no further faults.
-        logger.snoop_write(200, write_at(frame.base_addr + 4))
+        logger.snoop_write(200, *write_at(frame.base_addr + 4))
         logger.flush()
         assert logger.stats.pmt_fault_count == 1
 
     def test_unknown_page_drops_record(self):
         logger, handler, memory, _ = make_logger()
         frame = data_page(memory)  # never registered in pmt_map
-        logger.snoop_write(100, write_at(frame.base_addr))
+        logger.snoop_write(100, *write_at(frame.base_addr))
         logger.flush()
         assert logger.stats.records_dropped == 1
         assert logger.stats.records_logged == 0
@@ -171,7 +175,7 @@ class TestLoggerPipeline:
         n = per_page + 5
 
         for i in range(n):
-            logger.snoop_write(100 * i, write_at(frame.base_addr + 4 * (i % 1024), i))
+            logger.snoop_write(100 * i, *write_at(frame.base_addr + 4 * (i % 1024), i))
         logger.flush()
 
         assert logger.stats.records_logged == n
@@ -189,13 +193,13 @@ class TestLoggerPipeline:
         logger.pmt.load(frame.base_addr, 1)
         handler.frames = []  # no pages available at all
 
-        logger.snoop_write(100, write_at(frame.base_addr, 7))
+        logger.snoop_write(100, *write_at(frame.base_addr, 7))
         logger.flush()
         assert logger.stats.records_dropped == 1
         assert logger.stats.records_logged == 0
         assert handler.lost == 1
         # The default page keeps absorbing without further allocation.
-        logger.snoop_write(200, write_at(frame.base_addr + 4, 8))
+        logger.snoop_write(200, *write_at(frame.base_addr + 4, 8))
         logger.flush()
         assert logger.stats.records_dropped == 2
 
@@ -210,7 +214,7 @@ class TestLoggerPipeline:
 
         # Burst of writes at the same cycle: the pipeline cannot keep up.
         for i in range(6):
-            logger.snoop_write(10, write_at(frame.base_addr + 4 * i, i))
+            logger.snoop_write(10, *write_at(frame.base_addr + 4 * i, i))
         assert logger.stats.overload_events >= 1
         assert handler.overloads
         # The overload flush drained the queue that crossed the threshold.
@@ -229,7 +233,7 @@ class TestLoggerPipeline:
 
         gap = config.logger_service_cycles + 5
         for i in range(20):
-            logger.snoop_write(gap * i, write_at(frame.base_addr + 4 * i, i))
+            logger.snoop_write(gap * i, *write_at(frame.base_addr + 4 * i, i))
         logger.flush()
         assert logger.stats.overload_events == 0
 
@@ -243,7 +247,7 @@ class TestLoggerPipeline:
         logger.log_table.load(1, log_base)
 
         for i, v in enumerate([10, 20, 30]):
-            logger.snoop_write(100 * (i + 1), write_at(frame.base_addr + 4 * i, v))
+            logger.snoop_write(100 * (i + 1), *write_at(frame.base_addr + 4 * i, v))
         logger.flush()
         got = [memory.read(log_base + 4 * i, 4) for i in range(3)]
         assert got == [10, 20, 30]
@@ -256,7 +260,7 @@ class TestLoggerPipeline:
         logger.set_log_mode(1, LogMode.DIRECT_MAPPED)
         logger.load_direct_mapping(frame.base_addr, dest.base_addr)
 
-        logger.snoop_write(100, write_at(frame.base_addr + 0x123 * 4, 77))
+        logger.snoop_write(100, *write_at(frame.base_addr + 0x123 * 4, 77))
         logger.flush()
         assert memory.read(dest.base_addr + 0x123 * 4, 4) == 77
 
@@ -267,7 +271,7 @@ class TestLoggerPipeline:
         log_base = handler.frames[0].base_addr
         handler.next_page = 1
         logger.log_table.load(1, log_base)
-        logger.snoop_write(100, write_at(frame.base_addr))
+        logger.snoop_write(100, *write_at(frame.base_addr))
         logger.flush()
 
         addr = logger.unload_log(1)

@@ -1,7 +1,7 @@
-"""Behavioural tests: logger drain timing, idle_at, bus interaction."""
+"""Behavioural tests: logger drain timing, bus interaction."""
 
 
-from repro.hw.bus import BusWrite, SystemBus
+from repro.hw.bus import SystemBus
 from repro.hw.clock import Clock
 from repro.hw.logger import Logger
 from repro.hw.memory import PhysicalMemory
@@ -22,14 +22,15 @@ def make(**overrides):
 
 
 def wr(frame, i):
-    return BusWrite(frame.base_addr + 4 * (i % 1024), i, 4, log_tag=0, cpu_index=0)
+    """A 4-byte logged write, as ``snoop_write``'s ``(paddr, value, size)``."""
+    return frame.base_addr + 4 * (i % 1024), i, 4
 
 
 class TestDrainTiming:
     def test_drain_respects_service_rate(self):
         logger, frame, *_ , config = make()
         for i in range(10):
-            logger.snoop_write(0, wr(frame, i))
+            logger.snoop_write(0, *wr(frame, i))
         # At time of 5 service periods, exactly 5 records are done.
         logger.drain(5 * config.logger_service_cycles)
         assert logger.stats.records_logged == 5
@@ -37,7 +38,7 @@ class TestDrainTiming:
 
     def test_drain_is_idempotent(self):
         logger, frame, *_, config = make()
-        logger.snoop_write(0, wr(frame, 0))
+        logger.snoop_write(0, *wr(frame, 0))
         logger.drain(10 * config.logger_service_cycles)
         logged = logger.stats.records_logged
         logger.drain(10 * config.logger_service_cycles)
@@ -45,23 +46,16 @@ class TestDrainTiming:
 
     def test_idle_pipeline_processes_at_arrival_plus_service(self):
         logger, frame, *_, config = make()
-        logger.snoop_write(1000, wr(frame, 0))
+        logger.snoop_write(1000, *wr(frame, 0))
         logger.drain(1000 + config.logger_service_cycles - 1)
         assert logger.stats.records_logged == 0
         logger.drain(1000 + config.logger_service_cycles)
         assert logger.stats.records_logged == 1
 
-    def test_idle_at_accounts_for_backlog(self):
-        logger, frame, *_, config = make()
-        assert logger.idle_at == 0
-        for i in range(4):
-            logger.snoop_write(0, wr(frame, i))
-        assert logger.idle_at == 4 * config.logger_service_cycles
-
     def test_flush_returns_completion_time(self):
         logger, frame, *_, config = make()
         for i in range(3):
-            logger.snoop_write(100, wr(frame, i))
+            logger.snoop_write(100, *wr(frame, i))
         done = logger.flush()
         assert done == 100 + 3 * config.logger_service_cycles
         assert logger.write_fifo.occupancy == 0
@@ -69,7 +63,7 @@ class TestDrainTiming:
     def test_dma_occupies_bus(self):
         logger, frame, log_frame, memory, config = make()
         bus_before = logger.bus.total_busy_cycles
-        logger.snoop_write(0, wr(frame, 0))
+        logger.snoop_write(0, *wr(frame, 0))
         logger.flush()
         assert logger.bus.total_busy_cycles - bus_before == config.log_dma_bus_cycles
 
@@ -77,7 +71,7 @@ class TestDrainTiming:
 class TestStatsSnapshots:
     def test_logger_stats_snapshot_keys(self):
         logger, frame, *_ = make()
-        logger.snoop_write(0, wr(frame, 0))
+        logger.snoop_write(0, *wr(frame, 0))
         logger.flush()
         snap = logger.stats.snapshot()
         assert snap["records_logged"] == 1

@@ -1,4 +1,4 @@
-"""Unit tests: machine wiring, sync/quiesce, interrupts, on-chip logger."""
+"""Unit tests: machine wiring, sync/quiesce, on-chip logger."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.errors import ConfigError
 from repro.hw.bus import SystemBus
 from repro.hw.clock import Clock
 from repro.hw.cpu import CPU
-from repro.hw.interrupts import Interrupt, InterruptController
 from repro.hw.machine import Machine
 from repro.hw.memory import PhysicalMemory
 from repro.hw.params import NEXT_GENERATION, PAGE_SIZE, MachineConfig
@@ -30,12 +29,12 @@ class TestMachine:
     def test_prototype_logger_snoops_bus(self):
         machine = Machine(SMALL)
         assert machine.on_chip_logger is None
-        assert machine.logger in machine.bus._snoopers
+        assert machine.bus.logger is machine.logger
 
     def test_next_generation_has_onchip_logger(self):
         machine = Machine(NEXT_GENERATION.with_changes(memory_bytes=SMALL.memory_bytes))
         assert machine.on_chip_logger is not None
-        assert machine.logger not in machine.bus._snoopers
+        assert machine.bus.logger is None
 
     def test_time_is_high_water_mark(self):
         machine = Machine(SMALL)
@@ -89,28 +88,6 @@ class TestMachine:
         changed = config.with_changes(num_cpus=8)
         assert changed.num_cpus == 8
         assert config.num_cpus == 4  # original untouched
-
-
-class TestInterruptController:
-    def test_dispatch_and_count(self):
-        ic = InterruptController()
-        seen = []
-        ic.register(Interrupt.LOGGER_OVERLOAD, lambda x: seen.append(x) or "ok")
-        assert ic.raise_interrupt(Interrupt.LOGGER_OVERLOAD, 42) == "ok"
-        assert seen == [42]
-        assert ic.count(Interrupt.LOGGER_OVERLOAD) == 1
-
-    def test_unregistered_vector_rejected(self):
-        ic = InterruptController()
-        with pytest.raises(ConfigError):
-            ic.raise_interrupt(Interrupt.LOGGING_FAULT_PMT)
-
-    def test_reset_counts(self):
-        ic = InterruptController()
-        ic.register(Interrupt.LOGGER_OVERLOAD, lambda: None)
-        ic.raise_interrupt(Interrupt.LOGGER_OVERLOAD)
-        ic.reset_counts()
-        assert ic.count(Interrupt.LOGGER_OVERLOAD) == 0
 
 
 class TestOnChipLogger:
