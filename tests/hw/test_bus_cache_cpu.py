@@ -39,8 +39,7 @@ class TestSystemBus:
 
     def test_snooper_sees_write(self):
         """The bus hands each logged write to its one logger as
-        ``(complete, paddr, value, size)``; unlogged writes, and every
-        write on a bus without a logger, reach nobody."""
+        ``(complete, paddr, value, size)``; unlogged writes reach nobody."""
         bus = SystemBus()
         seen = []
 
@@ -52,10 +51,25 @@ class TestSystemBus:
         complete = bus.write_transaction(0, 5, 64, 1, 4, 0, 0)
         assert seen == [(complete, 64, 1, 4)]
         bus.write_transaction(0, 5, 64, 2, 4, None, 0)
-        bus.logger = None
-        bus.write_transaction(0, 5, 64, 3, 4, 0, 0)
         assert seen == [(complete, 64, 1, 4)]
-        assert bus.transaction_count == 3
+        assert bus.transaction_count == 2
+
+    def test_remove_snooper(self):
+        """A logger detached from the bus sees no further writes, logged
+        or not, while the bus still carries them."""
+        bus = SystemBus()
+        seen = []
+
+        class Snoop:
+            def snoop_write(self, cycle, paddr, value, size):
+                seen.append(cycle)
+
+        bus.logger = Snoop()
+        bus.logger = None
+        bus.write_transaction(0, 5, 0, 0, 4, 0, 0)
+        bus.write_transaction(0, 5, 0, 0, 4, None, 0)
+        assert seen == []
+        assert bus.transaction_count == 2
 
 
 class TestL1Cache:
