@@ -422,11 +422,6 @@ class Logger:
             sp = probe._ACTIVE
             if sp is not None:
                 sp.logging_fault("logger.pmt_fault", complete_cycle, cycles)
-            # The record cannot proceed down the pipeline until the fault
-            # service completes: its DMA and timestamp happen at the later
-            # of the bus completion and the fault-handler return.
-            if self._service_free > complete_cycle:
-                complete_cycle = self._service_free
             if log_index is None:
                 self.stats.records_dropped += 1
                 return
@@ -448,8 +443,6 @@ class Logger:
                 sp = probe._ACTIVE
                 if sp is not None:
                     sp.logging_fault("logger.boundary_fault", complete_cycle, cycles)
-                if self._service_free > complete_cycle:
-                    complete_cycle = self._service_free
             if new_addr is None:
                 # Absorb into the default page; records are lost until
                 # the kernel supplies a real page (section 3.2).

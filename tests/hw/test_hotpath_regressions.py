@@ -2,10 +2,10 @@
 
 Each class pins a bug that existed in the original code:
 
-* ``Logger._process`` charged fault-handler cycles to the pipeline but
-  still DMA'd (and timestamped) the record at the pre-fault completion
-  cycle — records appeared in memory *before* the fault that produced
-  them had been serviced.
+* ``Logger._process`` must charge fault-handler cycles to the
+  pipeline, so the records behind a logging fault wait for its
+  service, while the faulted record itself keeps the timestamp and DMA
+  of its own bus completion.
 * ``HardwareFifo.push`` returned the same truthy signal for a threshold
   crossing and for a hard-capacity overflow, so the logger counted a
   dropped entry as a fresh overload event (double-counting the overload
@@ -71,7 +71,7 @@ def make_logger(**config_overrides):
 
 
 class TestLoggerFaultTiming:
-    """A record delayed by a logging fault is DMA'd after the fault."""
+    """A logging fault stalls the records behind it, not the faulted one."""
 
     def test_pmt_miss_delays_record_dma_and_timestamp(self):
         logger, handler, memory = make_logger()
@@ -83,15 +83,25 @@ class TestLoggerFaultTiming:
 
         # PMT not preloaded: the record faults inside the pipeline.
         # Service of the record starts at 100 and completes at 128; the
-        # 800-cycle pmt_miss handler returns at 928.  The DMA and the
-        # record's timestamp must happen at 928, not 128.
+        # 800-cycle pmt_miss handler holds the pipeline until 928.  The
+        # faulted record is stamped and DMA'd at 128, its bus completion.
         logger.snoop_write(100, frame.base_addr, 0xABCD, 4)
         logger.flush()
 
         assert logger._service_free == 928
-        assert logger.bus.busy_until == 928 + logger.config.log_dma_bus_cycles
+        assert logger.bus.busy_until == 128 + logger.config.log_dma_bus_cycles
         record = decode_record(memory.read_bytes(log_base, LOG_RECORD_SIZE))
-        assert record.timestamp == 928 // logger.clock._timestamp_divider
+        assert record.timestamp == 128 // logger.clock._timestamp_divider
+        assert logger.stats.pmt_fault_count == 1
+
+        # The stall: a record snooped at 200 is serviced only after the
+        # handler returns, completing at 928 + 28.
+        logger.snoop_write(200, frame.base_addr, 0xABCE, 4)
+        logger.flush()
+        record = decode_record(
+            memory.read_bytes(log_base + LOG_RECORD_SIZE, LOG_RECORD_SIZE)
+        )
+        assert record.timestamp == 956 // logger.clock._timestamp_divider
         assert logger.stats.pmt_fault_count == 1
 
     def test_boundary_fault_delays_record_dma_and_timestamp(self):
@@ -99,15 +109,25 @@ class TestLoggerFaultTiming:
         frame = memory.allocate_frame()
         logger.pmt.load(frame.base_addr, 1)
         # No log-table entry: the first record takes a boundary fault,
-        # serviced in 800 cycles; its DMA and timestamp land at 928.
+        # serviced in 800 cycles, so the pipeline is held until 928;
+        # the faulted record itself is stamped and DMA'd at 128.
         logger.snoop_write(100, frame.base_addr, 0x1111, 4)
         logger.flush()
 
         assert logger._service_free == 928
-        assert logger.bus.busy_until == 928 + logger.config.log_dma_bus_cycles
+        assert logger.bus.busy_until == 128 + logger.config.log_dma_bus_cycles
         log_base = handler.frames[0].base_addr
         record = decode_record(memory.read_bytes(log_base, LOG_RECORD_SIZE))
-        assert record.timestamp == 928 // logger.clock._timestamp_divider
+        assert record.timestamp == 128 // logger.clock._timestamp_divider
+        assert logger.stats.boundary_fault_count == 1
+
+        # The stall: the next record waits for the handler's return.
+        logger.snoop_write(200, frame.base_addr, 0x2222, 4)
+        logger.flush()
+        record = decode_record(
+            memory.read_bytes(log_base + LOG_RECORD_SIZE, LOG_RECORD_SIZE)
+        )
+        assert record.timestamp == 956 // logger.clock._timestamp_divider
         assert logger.stats.boundary_fault_count == 1
 
     def test_unfaulted_record_timing_unchanged(self):

