@@ -89,17 +89,13 @@ class LogTap:
             self.rewinds += 1
             self._cursor = tail
             return 0
-        # Spans start at the truncation point when the log was truncated
-        # past the cursor, and skip the extended format's page padding,
-        # so the joined bytes are whole records of little-endian words
-        # (addr, value, size|flags<<16, timestamp[, old value, PC]):
-        # column views give each field at once, and the folds see only
-        # per-page aggregates.
-        data = b"".join(chunk for _offset, chunk in log.byte_spans(cursor))
+        # Reading starts at the truncation point when the log was
+        # truncated past the cursor.  Column views give each field at
+        # once, and the folds see only per-page aggregates.
+        words, _spans = log.record_words(cursor)
         self._cursor = tail
-        if not data:
+        if not len(words):
             return 0
-        words = np.frombuffer(data, dtype="<u4").reshape(-1, log.record_size // 4)
         stamps = words[:, 3]
         pages = words[:, 0] >> _PAGE_SHIFT
         uniq, counts = np.unique(pages, return_counts=True)

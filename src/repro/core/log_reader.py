@@ -12,13 +12,44 @@ synchronizes on the end of the log".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.errors import LoggingError
+import numpy as np
+
+from repro.errors import LoggingError, LVMError
 from repro.core.log_segment import LogSegment
 from repro.core.region import Region
 from repro.hw.params import PAGE_SIZE
 from repro.hw.records import FLAG_VIRTUAL_ADDR, LogRecord
+
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+
+
+@dataclass
+class LogColumns:
+    """A log range decoded as numpy columns, one row per record.
+
+    ``offsets`` holds each record's segment offset, ``values`` and
+    ``sizes`` its datum.  The rows stop before the first record whose
+    address does not translate; ``error`` is what translating it raised
+    (None when every record of the range translated).
+    """
+
+    offsets: np.ndarray
+    values: np.ndarray
+    sizes: np.ndarray
+    error: Exception | None
+    #: (log offset, first row) of each span, in log order
+    spans: list[tuple[int, int]]
+    stride: int
+
+    def log_offset(self, row: int) -> int:
+        """Log offset of row ``row``."""
+        for offset, first in reversed(self.spans):
+            if first <= row:
+                return offset + (row - first) * self.stride
+        raise IndexError(row)
 
 
 class RegionLogView:
@@ -90,6 +121,46 @@ class RegionLogView:
 
         return to_offset
 
+    def columns(self, start: int | None = None, end: int | None = None) -> LogColumns:
+        """Decode the retained records of ``[start, end)`` as columns.
+
+        One ``frombuffer`` covers the whole range, and the translator
+        runs once per distinct page (a frame, or a virtual page for the
+        on-chip logger's records), not once per record.  The rows stop
+        at the first record that does not translate, as a loop over the
+        records would.
+        """
+        words, spans = self.log.record_words(start, end)
+        rows = len(words)
+        addrs = words[:, 0]
+        # Key each record by its page and address kind; the region is
+        # page aligned, so one translation serves a whole page.
+        keys = addrs >> _PAGE_SHIFT << 1 | words[:, 2] >> 16 & FLAG_VIRTUAL_ADDR
+        firsts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()] if rows else []
+        to_offset = self.translator()
+        bases: dict[int, int] = {}
+        run_bases = []
+        n, error = rows, None
+        for key, first in zip(keys[firsts].tolist(), firsts):
+            base = bases.get(key)
+            if base is None:
+                try:
+                    base = bases[key] = to_offset(key >> 1 << _PAGE_SHIFT, key & 1)
+                except LVMError as exc:
+                    n, error = first, exc
+                    break
+            run_bases.append(base)
+        lengths = np.diff([*firsts[: len(run_bases)], n])
+        return LogColumns(
+            offsets=np.repeat(np.array(run_bases, np.int64), lengths)
+            + (addrs[:n] & (PAGE_SIZE - 1)),
+            values=words[:n, 1],
+            sizes=words[:n, 2] & 0xFFFF,
+            error=error,
+            spans=spans,
+            stride=self.log.record_size,
+        )
+
     def va_of(self, record: LogRecord) -> int:
         """Virtual address the record's write targeted."""
         if record.is_virtual:
@@ -116,16 +187,11 @@ class RegionLogView:
         Stops before the log offset ``limit_offset`` when given.
         Returns the number of records applied.
         """
-        to_offset = self.translator()
-        applied = 0
-        for _offset, rows in self.log.record_spans(end=limit_offset):
-            updates = [
-                (to_offset(addr, flags), value, size)
-                for addr, value, size, flags, _timestamp in rows
-            ]
-            segment.write_words(updates)
-            applied += len(updates)
-        return applied
+        cols = self.columns(end=limit_offset)
+        segment.write_columns(cols.offsets, cols.values, cols.sizes)
+        if cols.error is not None:
+            raise cols.error
+        return len(cols.offsets)
 
 
 class LogFollower:

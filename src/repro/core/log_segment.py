@@ -24,6 +24,8 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from repro.errors import LoggingError
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import (
@@ -159,6 +161,26 @@ class LogSegment(Segment):
                 continue
             yield offset, self.read_bytes(offset, n * stride)
             offset += n * stride
+
+    def record_words(
+        self, start: int | None = None, end: int | None = None
+    ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """:meth:`byte_spans` as one array of little-endian 32-bit words.
+
+        Each row is one record: ``(addr, value, size | flags << 16,
+        timestamp[, old value, PC])``; the extended format's page
+        padding is skipped.  Also returns each span's ``(log offset,
+        first row)``, in log order.
+        """
+        spans = []
+        chunks = []
+        rows = 0
+        for offset, data in self.byte_spans(start, end):
+            spans.append((offset, rows))
+            chunks.append(data)
+            rows += len(data) // self.record_size
+        words = np.frombuffer(b"".join(chunks), "<u4")
+        return words.reshape(-1, self.record_size // 4), spans
 
     def record_spans(
         self, start: int | None = None, end: int | None = None

@@ -19,9 +19,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from repro.errors import SegmentError
 from repro.hw.memory import PACK, Frame
-from repro.hw.params import LINE_SIZE, PAGE_SIZE
+from repro.hw.params import LINE_SIZE, LINES_PER_PAGE, PAGE_SIZE
+
+_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+_LINE_SHIFT = LINE_SIZE.bit_length() - 1
+#: byte lanes of a word of up to 4 bytes, and their shifts into the value
+_LANES = np.arange(4)
+_LANE_SHIFTS = (8 * _LANES).astype(np.uint32)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.hw.machine import Machine
@@ -61,6 +69,15 @@ class SegmentPage:
         self.frame = frame
         #: bit n set = line n written; nonzero = the per-page dirty bit
         self.dc_dirty_mask = 0
+
+
+def _last_of_each(keys):
+    """Index of the last occurrence of each distinct key, in key order."""
+    n = len(keys)
+    # One value sort, key-major then index-minor: much cheaper than a
+    # stable argsort.
+    ordered, order = np.divmod(np.sort(keys * n + np.arange(n)), n)
+    return order[np.append(np.flatnonzero(ordered[1:] != ordered[:-1]), n - 1)]
 
 
 class Segment:
@@ -237,6 +254,69 @@ class Segment:
                     self._dirty(page, in_page, size)
             PACK[size].pack_into(data, in_page, value & ((1 << 8 * size) - 1))
 
+    def write_columns(self, offsets, values, sizes) -> None:
+        """``for o, v, s in zip(offsets, values, sizes): self.write(o, v, s)``
+        over numpy columns of 1-, 2- and 4-byte writes, one pass per page.
+
+        Only the last byte written at each position is stored, so
+        overlapping writes land as the loop lands them.  On a
+        deferred-copy destination each clean touched line is loaded
+        whole from the source, then the page's touched lines are marked
+        dirty in one OR: that matches the loop because ``_dirty`` loads
+        a clean line before any write lands in it, so the frame's old
+        bytes under a clean line are never read either way.
+        """
+        offsets = np.asarray(offsets, np.int64)
+        sizes = np.asarray(sizes, np.int64)
+        if not len(offsets):
+            return
+        # The last write of each (offset, size) word, in the order of
+        # those last writes.  A word is out of range in every write of
+        # it or in none, so checking the survivors checks them all.
+        lasts = np.sort(_last_of_each(offsets << 3 | sizes))
+        words, word_sizes = offsets[lasts], sizes[lasts]
+        if self._out_of_range(words, word_sizes).any():
+            i = int(self._out_of_range(offsets, sizes).argmax())
+            self.write_columns(offsets[:i], values[:i], sizes[:i])
+            raise self._word_error(int(offsets[i]), int(sizes[i]))
+        # Their bytes in write order, then the last byte at each position
+        # (sorted by position): words of different sizes may overlap.
+        lanes = _LANES < word_sizes[:, None]
+        positions = (words[:, None] + _LANES)[lanes]
+        data = (np.asarray(values, np.uint32)[lasts, None] >> _LANE_SHIFTS)[lanes]
+        final = _last_of_each(positions)
+        positions, data = positions[final], data[final].astype(np.uint8)
+        cuts = np.flatnonzero(np.diff(positions >> _PAGE_SHIFT, prepend=-1)).tolist()
+        indices = (positions[cuts] >> _PAGE_SHIFT).tolist()
+        pages = self._pages
+        if any(index not in pages for index in indices):
+            # Allocate frames in first-touch order, as the loop does: a
+            # frame's number is visible to later address translation.
+            touched, firsts = np.unique(offsets >> _PAGE_SHIFT, return_index=True)
+            for index in touched[np.argsort(firsts)].tolist():
+                self.page(index)
+        cuts.append(len(positions))
+        source = self.source
+        for index, lo, hi in zip(indices, cuts, cuts[1:]):
+            page = pages[index]
+            frame = np.frombuffer(page.frame.data, np.uint8)
+            in_page = positions[lo:hi] & (PAGE_SIZE - 1)
+            if source is not None:
+                lines = np.zeros(LINES_PER_PAGE, bool)
+                lines[in_page >> _LINE_SHIFT] = True
+                mask = int.from_bytes(np.packbits(lines, bitorder="little").tobytes(), "little")
+                clean = mask & ~page.dc_dirty_mask
+                if clean:
+                    lines = np.unpackbits(
+                        np.frombuffer(clean.to_bytes(LINES_PER_PAGE // 8, "little"), np.uint8),
+                        bitorder="little",
+                    )
+                    loaded = source.read_bytes(self.source_offset + index * PAGE_SIZE, PAGE_SIZE)
+                    np.copyto(frame, np.frombuffer(loaded, np.uint8),
+                              where=np.repeat(lines.astype(bool), LINE_SIZE))
+                page.dc_dirty_mask |= mask
+            frame[in_page] = data[lo:hi]
+
     def read_bytes(self, offset: int, length: int) -> bytes:
         """Read a byte string (may span pages)."""
         self._check_range(offset, length)
@@ -335,6 +415,12 @@ class Segment:
                 f"access [{offset}, {offset + length}) outside segment of "
                 f"size {self.size}"
             )
+
+    def _out_of_range(self, offsets, sizes):
+        """Mask of the integer accesses that leave the segment or a page."""
+        return (offsets < 0) | (offsets >= self.size) | (
+            (offsets & (PAGE_SIZE - 1)) + sizes > PAGE_SIZE
+        )
 
     def _word_error(self, offset: int, size: int) -> SegmentError:
         """An integer access leaves the segment or spans a page."""

@@ -13,13 +13,17 @@ from repro.paper.harness import MB, Entry, bound_region, machine, write_loop
 from repro.timewarp import SyntheticModel, TimeWarpSimulation
 
 
+#: The SyntheticModel seed of Figures 7 and 8.
+TIMEWARP_SEED = 7
+
+
 def _timewarp(c, s, w, saver):
     """One single-scheduler run of the section 4.3 "simulated"
     simulation, forward path only: "the measurements do not incorporate
     the overhead for rollbacks, advancing global virtual time, and
     performing log truncation"."""
     return TimeWarpSimulation(
-        SyntheticModel(c=c, s=s, w=w, num_objects=8, seed=7),
+        SyntheticModel(c=c, s=s, w=w, num_objects=8, seed=TIMEWARP_SEED),
         end_time=250,
         saver=saver,
         n_schedulers=1,

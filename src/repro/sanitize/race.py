@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro import probe
+from repro.hw.params import PAGE_SIZE
 from repro.sanitize.vclock import VectorClock
 
 
@@ -73,16 +74,10 @@ class LogRaceDetector:
     """Vector-clock race detector over logged page writes.
 
     ``page_size`` defaults to the machine's
-    :data:`repro.hw.params.PAGE_SIZE`; it is resolved lazily at
-    construction so importing this module never drags in the hardware
-    package (the hardware package imports *us*).
+    :data:`repro.hw.params.PAGE_SIZE`.
     """
 
-    def __init__(self, page_size: int | None = None, max_reports: int = 64) -> None:
-        if page_size is None:
-            from repro.hw.params import PAGE_SIZE
-
-            page_size = PAGE_SIZE
+    def __init__(self, page_size: int = PAGE_SIZE, max_reports: int = 64) -> None:
         if page_size & (page_size - 1):
             raise ValueError(f"page_size must be a power of two, got {page_size}")
         self.page_size = page_size

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro import probe
 from repro.analytics.policy import CheckpointTuner
 from repro.analytics.stream import LogTap
@@ -283,38 +285,47 @@ class LVMStateSaver(StateSaver):
         cycle-identical because compute charges are additive.
         """
         proc = self.scheduler.proc
+        sp = probe._ACTIVE
+        if restore and sp is not None and sp.detail:
+            return self._restore_each(target, start, stop_vt, sp)
+        # Nothing timed runs between two records off the per-record
+        # fork, so the whole range is decoded and applied at once.
+        cols = self._view.columns(start)
+        markers = cols.offsets < MARKER_BYTES
+        stops = np.flatnonzero(markers & (cols.values >= stop_vt))
+        n = int(stops[0]) if len(stops) else len(markers)
+        updates = ~markers[:n]
+        target.write_columns(
+            cols.offsets[:n][updates], cols.values[:n][updates], cols.sizes[:n][updates]
+        )
+        if not len(stops) and cols.error is not None:
+            raise cols.error
+        applied = int(np.count_nonzero(updates))
+        if charge and applied:
+            proc.compute(applied * APPLY_RECORD_CYCLES)
+        return (cols.log_offset(n) if len(stops) else self.log.append_offset), applied
+
+    def _restore_each(self, target: StdSegment, start: int, stop_vt: int, sp) -> tuple[int, int]:
+        """:meth:`_apply_log` for a rollback under ``detail``: each record
+        hits ``timewarp.rollback.restore`` and is charged as applied."""
+        proc = self.scheduler.proc
         log = self.log
         stride = log.record_size
         to_offset = self._view.translator()
         write = target.write
-        sp = probe._ACTIVE
-        per_record = restore and sp is not None and sp.detail
         applied = 0
-        cut = None
         for span_start, rows in log.record_spans(start):
-            # Nothing timed runs between two records off the per-record
-            # fork, so one write_words call applies a log page's updates.
-            updates = []
             for index, (addr, value, size, flags, _timestamp) in enumerate(rows):
                 seg_offset = to_offset(addr, flags)
                 if seg_offset < MARKER_BYTES:
                     if value >= stop_vt:
-                        cut = span_start + index * stride
-                        break
+                        return span_start + index * stride, applied
                     continue
-                if per_record:
-                    sp.hit("timewarp.rollback.restore", proc.now)
-                    write(seg_offset, value, size)
-                    proc.compute(APPLY_RECORD_CYCLES)
-                else:
-                    updates.append((seg_offset, value, size))
+                sp.hit("timewarp.rollback.restore", proc.now)
+                write(seg_offset, value, size)
+                proc.compute(APPLY_RECORD_CYCLES)
                 applied += 1
-            target.write_words(updates)
-            if cut is not None:
-                break
-        if charge and applied and not per_record:
-            proc.compute(applied * APPLY_RECORD_CYCLES)
-        return (log.append_offset if cut is None else cut), applied
+        return log.append_offset, applied
 
 
 class CheckpointedLVMSaver(LVMStateSaver):

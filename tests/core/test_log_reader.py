@@ -102,6 +102,46 @@ class TestRegionLogView:
         assert replica.read(4, 4) == 2
         assert replica.read(8, 4) == 0
 
+    @pytest.mark.parametrize("extended", [False, True], ids=["16-byte", "extended"])
+    def test_apply_to_virtual_records_across_log_pages(self, onchip_machine, extended):
+        # The on-chip logger's records carry virtual addresses, and its
+        # 24-byte extended records leave padding at each log page's end.
+        # 600 writes of mixed sizes fill several log pages, repeat and
+        # overlap words, and touch two segment pages.
+        machine = onchip_machine
+        proc = machine.current_process
+        region, log, va = make_logged_region(machine, extended_records=extended)
+        for i in range(600):
+            size = (1, 2, 4)[i % 3]
+            offset = (i * 7) % 64 * 4 + i % 4 // size * size + (PAGE_SIZE if i % 5 == 0 else 0)
+            proc.write(va + offset, (i * 2654435761) & ((1 << 8 * size) - 1), size)
+        machine.quiesce()
+        assert log.append_offset > 2 * PAGE_SIZE
+        view = RegionLogView(region)
+        loop = StdSegment(region.size, machine=machine)
+        for offset, value, size in view.updates():
+            loop.write(offset, value, size)
+        replica = StdSegment(region.size, machine=machine)
+        assert view.apply_to(replica) == 600
+        assert replica.snapshot() == loop.snapshot() == region.segment.snapshot()
+
+    def test_apply_to_stops_at_an_untranslatable_record(self, machine, proc):
+        region, log, va = make_logged_region(machine, size=4 * PAGE_SIZE)
+        proc.write(va + 4, 1)
+        proc.write(va + PAGE_SIZE + 8, 2)
+        proc.write(va + 12, 3)
+        machine.quiesce()
+        # Page 1 moves to a fresh frame, so its record no longer translates.
+        region.segment.page(1).frame = machine.memory.allocate_frame()
+        view = RegionLogView(region)
+        replica = StdSegment(region.size, machine=machine)
+        assert view.apply_to(replica, limit_offset=log.record_size) == 1
+        with pytest.raises(LoggingError):
+            view.apply_to(replica)
+        # As a loop over the records: the write before it landed, the
+        # one after it did not.
+        assert (replica.read(4, 4), replica.read(PAGE_SIZE + 8, 4), replica.read(12, 4)) == (1, 0, 0)
+
 
 class TestLogFollower:
     def test_poll_sees_only_new_records(self, machine, proc):

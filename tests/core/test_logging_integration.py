@@ -240,15 +240,28 @@ class TestOnChipLogger:
         assert [r.value for r in l2.records()] == [200]
 
     def test_no_overload_ever(self, onchip_machine):
-        """Section 4.6: the FIFO overload mechanism is gone."""
+        """Section 4.6: the FIFO overload mechanism is gone; instead "the
+        processor is automatically stalled if there is an excessive
+        level of write activity to a logged region"."""
         machine = onchip_machine
         proc = machine.current_process
+        stats = proc.cpu.stats
         region, log, va = make_logged_region(machine, size=4 * PAGE_SIZE)
         for i in range(3000):
             proc.write(va + 4 * (i % 1024), i)
         machine.quiesce()
-        assert machine.logger.stats.overload_events == 0
         assert log.record_count == 3000
+        # Back to back, every write after the first waits for the one
+        # write-buffer entry ahead of it.
+        assert stats.write_buffer_stalls == 2999
+        stalls = stats.write_buffer_stalls
+        for i in range(3000):
+            proc.write(va + 4 * (i % 1024), i)
+            proc.compute(200)
+        machine.quiesce()
+        assert log.record_count == 6000
+        # One write per 200 cycles never stalls the writer.
+        assert stats.write_buffer_stalls == stalls
 
     def test_extended_records_capture_old_value(self, onchip_machine):
         machine = onchip_machine

@@ -5,11 +5,14 @@ must agree with a plain bytearray — including accesses spanning pages
 and a deferred-copy source attached midway.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TEST_CONFIG
 from repro.core.context import boot, set_current_machine
 from repro.core.segment import StdSegment
+from repro.errors import SegmentError
 from repro.hw.params import LINE_SIZE, PAGE_SIZE
 
 SEG_BYTES = 3 * PAGE_SIZE
@@ -199,3 +202,71 @@ def test_property_write_words_matches_write_loop(words, deferred):
         assert pair[0] == pair[1]
     finally:
         set_current_machine(None)
+
+
+#: 1-, 2- and 4-byte writes, half of them crowded into the first lines
+#: so that words repeat and overlap.
+column_word_strategy = st.tuples(
+    st.one_of(st.integers(0, 3 * LINE_SIZE), st.integers(0, SEG_BYTES - 4)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 4]),
+)
+
+
+def _columns_and_loop(words, deferred, pre=()):
+    """(bytes, [(page index, dirty mask)] in allocation order, error) of
+    a loop of ``write`` and of one ``write_columns``, in that order."""
+    machine = boot(TEST_CONFIG)
+    try:
+        src = StdSegment(SEG_BYTES, machine=machine)
+        src.write_bytes(0, bytes((3 * i + 7) % 251 + 1 for i in range(SEG_BYTES)))
+        out = []
+        for batched in (False, True):
+            seg = StdSegment(SEG_BYTES, machine=machine)
+            if deferred:
+                seg.source_segment(src)
+            for offset, value, size in pre:
+                seg.write(offset, value, size)
+            error = None
+            try:
+                if batched:
+                    seg.write_columns(*np.array(words, np.int64).reshape(-1, 3).T)
+                else:
+                    for offset, value, size in words:
+                        seg.write(offset, value, size)
+            except SegmentError as exc:
+                error = str(exc)
+            out.append((seg.snapshot(), [(p.index, p.dc_dirty_mask) for p in seg.pages()], error))
+        return out
+    finally:
+        set_current_machine(None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pre=st.lists(column_word_strategy, max_size=10),
+    words=st.lists(column_word_strategy, max_size=60),
+    deferred=st.booleans(),
+)
+def test_property_write_columns_matches_write_loop(pre, words, deferred):
+    """``write_columns`` leaves the bytes, the dirty lines and the order
+    in which frames were allocated exactly as the loop of ``write`` it
+    is defined as: words that repeat and overlap at different sizes,
+    over lines written beforehand and lines still clean, on a plain
+    segment and on a deferred-copy destination over a non-zero
+    source."""
+    pre = [(align(offset, size), value, size) for offset, value, size in pre]
+    words = [(align(offset, size), value, size) for offset, value, size in words]
+    loop, columns = _columns_and_loop(words, deferred, pre)
+    assert columns == loop
+    assert loop[2] is None
+
+
+@pytest.mark.parametrize("deferred", [False, True])
+def test_write_columns_raises_where_the_loop_raises(deferred):
+    """A word that spans a page fails the call after the writes before
+    it have landed, and none after it."""
+    words = [(2 * PAGE_SIZE + 8, 1, 4), (0, 2, 4), (PAGE_SIZE - 2, 3, 4), (16, 4, 4)]
+    loop, columns = _columns_and_loop(words, deferred)
+    assert columns == loop
+    assert "outside one page" in loop[2]

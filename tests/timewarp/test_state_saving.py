@@ -1,9 +1,16 @@
 """Unit tests: copy-based and LVM state savers in isolation."""
 
+from contextlib import nullcontext
+from functools import partial
+
 import pytest
 
-from repro.errors import RollbackError
-from repro.core.context import use_machine
+from conftest import TEST_CONFIG, TEST_CONFIG_ONCHIP
+from repro.errors import LoggingError, RollbackError
+from repro.core.context import boot, set_current_machine, use_machine
+from repro.core.log_segment import LogSegment
+from repro.faults import FaultPlan, installed
+from repro.timewarp import state_saving
 from repro.timewarp.cult import CultPolicy
 from repro.timewarp.kernel import TimeWarpSimulation
 from repro.timewarp.state_saving import (
@@ -130,6 +137,88 @@ class TestLvmStateSaver:
             for vt in range(5, 50):
                 write_obj(sched, 0, 0, vt, vt=vt)
             assert saver.state_bytes_saved == 0
+
+
+class TestBatchedRollForward:
+    """The batched roll-forward against the per-record path that runs
+    while a fault plan is attached: the same cut, records applied,
+    bytes, dirty lines and cycles, wherever the cut marker falls."""
+
+    LOGGERS = {
+        "prototype": (TEST_CONFIG, False),
+        "on-chip": (TEST_CONFIG_ONCHIP, False),
+        "on-chip-extended": (TEST_CONFIG_ONCHIP, True),
+    }
+
+    @staticmethod
+    def _rollback(config, extended, records_before_cut, plan, monkeypatch):
+        if extended:
+            monkeypatch.setattr(state_saving, "LogSegment", partial(LogSegment, extended_records=True))
+        machine = boot(config)
+        try:
+            saver = LVMStateSaver()
+            sched = make_scheduler(machine, saver)
+            # The vt-5 marker and data write, then more vt-5 writes to
+            # repeated words until the vt-8 marker is record
+            # ``records_before_cut``, then vt-8 writes to undo, some of
+            # them in lines that vt-5 writes too.
+            write_obj(sched, 0, 0, 1, vt=5)
+            for i in range(records_before_cut - 2):
+                write_obj(sched, i % 3, 4 * (i % 7), 1000 + i, vt=5)
+            for i in range(20):
+                write_obj(sched, 1, 28 + 4 * (i % 5), 5000 + i, vt=8)
+            checkpoint = saver.checkpoint.snapshot()
+            with installed(plan) if plan is not None else nullcontext():
+                saver.rollback(8)
+            assert saver.checkpoint.snapshot() == checkpoint
+            return (
+                saver.log.append_offset,
+                saver.rollforward_records,
+                sched.proc.now,
+                saver.working.snapshot(),
+                [(p.index, p.dc_dirty_mask) for p in saver.working.pages()],
+            )
+        finally:
+            set_current_machine(None)
+
+    @pytest.mark.parametrize("logger", sorted(LOGGERS))
+    @pytest.mark.parametrize("where", ["first-in-span", "mid-span"])
+    def test_matches_per_record_path(self, logger, where, monkeypatch):
+        config, extended = self.LOGGERS[logger]
+        stride = 24 if extended else 16
+        per_page = 4096 // stride
+        index = per_page if where == "first-in-span" else per_page // 2 + 3
+        plan = FaultPlan()
+        per_record = self._rollback(config, extended, index, plan, monkeypatch)
+        batched = self._rollback(config, extended, index, None, monkeypatch)
+        assert batched == per_record
+        assert plan.counts["timewarp.rollback.restore"] == index - 1
+        # The cut is the vt-8 marker: the first record of the second log
+        # page, or a record in the middle of the first.
+        assert batched[0] == (4096 if where == "first-in-span" else index * stride)
+        assert batched[1] == index - 1
+
+    @pytest.mark.parametrize("detail", [False, True], ids=["batched", "per-record"])
+    def test_untranslatable_record_raises_only_before_the_cut(self, machine, detail):
+        with use_machine(machine):
+            saver = LVMStateSaver()
+            sched = make_scheduler(machine, saver, num_objects=80)
+            far = 70  # this object's slot is on the working segment's page 1
+            assert saver.object_offset(far) >= 4096
+            write_obj(sched, 0, 0, 1, vt=5)
+            write_obj(sched, far, 0, 2, vt=8)
+            machine.quiesce()
+            # Page 1 moves to a fresh frame: the vt-8 record no longer
+            # translates, and it lies after the vt-8 marker.
+            saver.working.page(1).frame = machine.memory.allocate_frame()
+            with installed(FaultPlan()) if detail else nullcontext():
+                saver.rollback(8)
+                assert saver.working.read(saver.object_offset(0), 4) == 1
+                write_obj(sched, far, 0, 3, vt=8)
+                machine.quiesce()
+                saver.working.page(1).frame = machine.memory.allocate_frame()
+                with pytest.raises(LoggingError):
+                    saver.rollback(9)
 
 
 class TestCopyStateSaver:
