@@ -5,9 +5,10 @@ spine's one gate (``probe._ACTIVE is None`` — the same pattern the
 fault layer uses), so a run with nothing attached should be within
 wall-clock noise of the pre-observability simulator, and a metrics-only
 run must stay cycle-identical while keeping the fused fast paths.  The
-spine binds each event only to the subscribers that handle it, so an
-analytics-only or flight-only run (the two budget guards below) never
-dispatches the per-bus-transaction events only metrics want.
+spine binds an event nobody handles to None and each site tests its
+own event before building arguments, so an analytics-only or
+flight-only run (the two budget guards below) pays one attribute test,
+not a call, for the per-bus-transaction events only metrics want.
 
 The disabled workload is run twice to estimate run-to-run noise on this
 host, then once with metrics enabled; the enabled/disabled wall ratio

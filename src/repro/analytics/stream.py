@@ -206,7 +206,7 @@ class AnalyticsHub:
         if consumed:
             self.records_consumed += consumed
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and (sp.set_gauge is not None or sp.counter_track is not None):
                 self._export(sp, now_cycle)
             callback = self.on_sample
             if callback is not None:
@@ -217,15 +217,17 @@ class AnalyticsHub:
         """Publish per-tap gauges and Perfetto counter tracks."""
         for tap in self.taps:
             prefix = f"analytics.{tap.name}"
-            sp.set_gauge(f"{prefix}.records", tap.stats.record_count)
-            sp.set_gauge(f"{prefix}.pages_touched", tap.stats.pages_touched)
-            sp.set_gauge(f"{prefix}.wss", tap.wss.latest)
-            sp.set_gauge(f"{prefix}.write_rate_per_1k_ts", tap.write_rate.value)
-            sp.set_gauge(f"{prefix}.log_bytes", tap.retained_bytes)
-            sp.counter_track("metrics", f"{prefix}.wss", ts, tap.wss.latest)
-            sp.counter_track(
-                "metrics", f"{prefix}.records", ts, tap.stats.record_count
-            )
+            if sp.set_gauge is not None:
+                sp.set_gauge(f"{prefix}.records", tap.stats.record_count)
+                sp.set_gauge(f"{prefix}.pages_touched", tap.stats.pages_touched)
+                sp.set_gauge(f"{prefix}.wss", tap.wss.latest)
+                sp.set_gauge(f"{prefix}.write_rate_per_1k_ts", tap.write_rate.value)
+                sp.set_gauge(f"{prefix}.log_bytes", tap.retained_bytes)
+            if sp.counter_track is not None:
+                sp.counter_track("metrics", f"{prefix}.wss", ts, tap.wss.latest)
+                sp.counter_track(
+                    "metrics", f"{prefix}.records", ts, tap.stats.record_count
+                )
 
     # ------------------------------------------------------------------
     # Reporting

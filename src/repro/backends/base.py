@@ -64,8 +64,10 @@ def barrier_point(device: "LogDevice", cpu: CPU) -> None:
     """
     sp = probe._ACTIVE
     if sp is not None:
-        sp.hit("backend.barrier", cpu.now)
-        sp.disk_barrier(device)
+        if sp.hit is not None:
+            sp.hit("backend.barrier", cpu.now)
+        if sp.disk_barrier is not None:
+            sp.disk_barrier(device)
 
 
 class LogDevice:
@@ -129,14 +131,16 @@ class LogDevice:
             # A fault plan may raise CrashPoint here (optionally after a
             # torn prefix or the full write reached the platter) and
             # tracks the unflushed reorder window.
-            sp.disk_write(self, cpu, offset, data)
+            if sp.disk_write is not None:
+                sp.disk_write(self, cpu, offset, data)
             start = cpu.now
-            sp.stage_open("device.write", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("device.write", start, cpu.index)
         self._data[offset : offset + len(data)] = data
         self.write_ops += 1
         self.bytes_written += len(data)
         cpu.compute(self._write_cost(offset, len(data)))
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close("device.write", start, cpu.now, cpu.index, self.name, len(data))
 
     def read(self, cpu: CPU, offset: int, length: int) -> bytes:
@@ -145,12 +149,14 @@ class LogDevice:
             raise AddressError(f"{self.name} device read out of range")
         sp = probe._ACTIVE
         if sp is not None:
-            sp.disk_barrier(self)  # a timed read is a write barrier
+            if sp.disk_barrier is not None:
+                sp.disk_barrier(self)  # a timed read is a write barrier
             start = cpu.now
-            sp.stage_open("device.read", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("device.read", start, cpu.index)
         self.read_ops += 1
         cpu.compute(self._read_cost(offset, length))
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close("device.read", start, cpu.now, cpu.index, self.name, length)
         return bytes(self._data[offset : offset + length])
 
@@ -162,10 +168,11 @@ class LogDevice:
         sp = probe._ACTIVE
         if sp is not None:
             start = cpu.now
-            sp.stage_open("device.flush", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("device.flush", start, cpu.index)
         flush_point(cpu)
         self.flush_ops += 1
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close("device.flush", start, cpu.now, cpu.index, self.name, 0)
 
     def barrier(self, cpu: CPU) -> None:
@@ -179,10 +186,11 @@ class LogDevice:
         sp = probe._ACTIVE
         if sp is not None:
             start = cpu.now
-            sp.stage_open("device.barrier", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("device.barrier", start, cpu.index)
         barrier_point(self, cpu)
         self.barrier_ops += 1
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close("device.barrier", start, cpu.now, cpu.index, self.name, 0)
 
     def lose_volatile(self) -> None:

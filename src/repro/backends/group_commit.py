@@ -126,13 +126,14 @@ class GroupCommit:
         sp = probe._ACTIVE
         if sp is not None:
             start = cpu.now
-            sp.stage_open("device.buffer", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("device.buffer", start, cpu.index)
         blocks = LogDevice._blocks(len(data))
         cpu.compute(self.buffer_op_cycles + blocks * self.buffer_per_block_cycles)
         self._buffer(offset, data)
         self.write_ops += 1
         self.bytes_written += len(data)
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close("device.buffer", start, cpu.now, cpu.index, self.name, len(data))
         if self.pending_bytes > self.max_pending_bytes:
             self.flush(cpu)
@@ -154,7 +155,8 @@ class GroupCommit:
         sp = probe._ACTIVE
         if sp is not None:
             start = cpu.now
-            sp.stage_open("device.flush", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("device.flush", start, cpu.index)
         flush_point(cpu)
         self.flush_ops += 1
         runs, self._pending = self._pending, []
@@ -162,7 +164,7 @@ class GroupCommit:
             # The inner write's own stage nests a "device" stage inside
             # this "barrier" stage, attributing the medium time exactly.
             self.inner.write(cpu, offset, bytes(data))
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close("device.flush", start, cpu.now, cpu.index, self.name, len(runs))
 
     def barrier(self, cpu: CPU) -> None:
@@ -171,10 +173,11 @@ class GroupCommit:
         sp = probe._ACTIVE
         if sp is not None:
             start = cpu.now
-            sp.stage_open("device.barrier", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("device.barrier", start, cpu.index)
         barrier_point(self.inner, cpu)
         self.barrier_ops += 1
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close("device.barrier", start, cpu.now, cpu.index, self.name, 0)
 
     def lose_volatile(self) -> None:

@@ -156,7 +156,7 @@ class AddressSpace:
         if vaddr % PAGE_SIZE + size > PAGE_SIZE:
             raise SegmentError("access crosses a page boundary")
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.inc is not None:
             # Every _resolve call is a translation-cache miss on the
             # fast access path (or a forced re-check of a protected PTE).
             sp.inc("core.tc_misses")
@@ -335,7 +335,7 @@ class AddressSpace:
             total = total + stats
         cpu.compute(reset_cost_cycles(self.machine.config, total))
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.deferred_copy_reset is not None:
             sp.deferred_copy_reset(start_cycle, cpu.now, cpu.index, total)
         return total
 

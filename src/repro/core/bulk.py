@@ -198,13 +198,13 @@ def _write_run(
             partial(segment.write_bytes, seg_offset, chunk), (paddr_base, len(chunk)),
         ):
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.inc is not None:
                 sp.inc("core.bulk.write_runs_fast")
         else:
             # A modeled L2, an installed fault plan or a detailed
             # tracer: use the word-at-a-time path, which is always exact.
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.inc is not None:
                 sp.inc("core.bulk.write_runs_slow")
             for off, size in access_steps(va, len(chunk)):
                 value = int.from_bytes(chunk[off : off + size], "little")
@@ -343,7 +343,7 @@ def _write_run_bus_logged(cpu, machine, plan, write, span):
         # fault plans need every record to visit the injection sites,
         # and per-word trace spans live on the generic paths.
         return False
-    if sp is not None:
+    if sp is not None and sp.logged_run is not None:
         # The fused loop never calls SystemBus.write_transaction, so
         # report the whole run as one logged write (same page span,
         # same writer) before taking it.

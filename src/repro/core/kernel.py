@@ -87,7 +87,7 @@ class Kernel:
         """
         self.stats.page_faults += 1
         sp = probe._ACTIVE
-        fault_start = cpu.now if sp is not None else 0
+        fault_start = cpu.now if sp is not None and sp.span is not None else 0
         region = aspace.region_at(vaddr)
         page_index = (vaddr - region.base_va) // PAGE_SIZE
         page = region.segment.page(page_index)
@@ -107,7 +107,7 @@ class Kernel:
             cpu.compute(self.config.logged_page_fault_extra_cycles)
             self._load_logger_entries(region, pte)
         aspace.install_pte(pte)
-        if sp is not None:
+        if sp is not None and sp.span is not None:
             sp.span(
                 "kernel",
                 "kernel.page_fault",
@@ -128,7 +128,7 @@ class Kernel:
         """
         self.stats.protection_faults += 1
         sp = probe._ACTIVE
-        trap_start = cpu.now if sp is not None else 0
+        trap_start = cpu.now if sp is not None and sp.protection_trap is not None else 0
         cpu.compute(self.config.protection_trap_cycles)
         region = pte.region
         handler = region.protection_handler
@@ -136,7 +136,7 @@ class Kernel:
             handler(region, vaddr)
             if pte.page_index not in region.protected_pages:
                 pte.write_protected = False
-        if sp is not None:
+        if sp is not None and sp.protection_trap is not None:
             sp.protection_trap(trap_start, cpu.now, cpu.index, vaddr)
 
     def _load_logger_entries(self, region: Region, pte: PageTableEntry) -> None:
@@ -203,7 +203,7 @@ class Kernel:
                 pte.log_index = region.log_index
                 self._load_logger_entries(region, pte)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.log_watched is not None:
             sp.log_watched(log)
 
     def detach_region_log(self, region: Region, cpu: CPU | None = None) -> None:
@@ -282,7 +282,7 @@ class Kernel:
         if addr is not None:
             self.machine.logger.resume_log(index, addr)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.log_rewound is not None:
             sp.log_rewound(log)
 
     def log_extended(self, log: LogSegment) -> None:
@@ -322,7 +322,7 @@ class Kernel:
         """Suspend all CPUs until the FIFOs have drained (section 3.1.3)."""
         resume = drain_complete_cycle + self.config.overload_suspend_cycles
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.instant is not None:
             sp.instant("kernel", "kernel.overload_suspend", drain_complete_cycle)
         self.machine.suspend_all_until(resume)
 

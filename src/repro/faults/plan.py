@@ -231,7 +231,7 @@ class FaultPlan:
         """
         n = self._note(site)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.fault_hit is not None:
             sp.fault_hit(cycle if cycle is not None else 0, site, n)
         if partial is not None:
             self.torn_capable.add(site)
@@ -358,7 +358,8 @@ class FaultPlan:
         state: dict = {}
         sp = probe._ACTIVE
         if sp is not None:
-            sp.fault_crash(site, n)
+            if sp.fault_crash is not None:
+                sp.fault_crash(site, n)
             state = sp.crash_state()
         raise CrashPoint(
             site,

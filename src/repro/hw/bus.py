@@ -43,7 +43,7 @@ class SystemBus:
         self.total_busy_cycles += bus_cycles
         self.transaction_count += 1
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.bus_txn is not None:
             sp.bus_txn(request_cycle, start, bus_cycles)
         return complete
 
@@ -67,7 +67,7 @@ class SystemBus:
         complete = self.acquire(request_cycle, bus_cycles)
         if log_tag is not None:
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.logged_run is not None:
                 sp.logged_run(cpu_index, paddr, size, complete)
             logger = self.logger
             if logger is not None:

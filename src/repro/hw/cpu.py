@@ -72,7 +72,8 @@ class CPU:
     @property
     def now(self) -> int:
         """This CPU's local cycle time."""
-        self._apply_suspension()
+        if self._resume_at > self._now:
+            self._apply_suspension()
         return self._now
 
     def _apply_suspension(self) -> None:

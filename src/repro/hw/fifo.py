@@ -78,7 +78,7 @@ class HardwareFifo:
         :attr:`PushResult.OK` otherwise.
         """
         sp = probe._ACTIVE
-        if sp is not None and sp.fifo_push(self, ready_cycle):
+        if sp is not None and sp.fifo_push is not None and sp.fifo_push(self, ready_cycle):
             # Forced drop: the record is lost exactly as a hard-capacity
             # overflow would lose it (no crash — silent data loss).
             self.overflow_count += 1

@@ -213,7 +213,7 @@ class Logger:
         self.drain(complete_cycle)
         result = self.write_fifo.push(complete_cycle, paddr, value, size)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.counter_track is not None:
             sp.counter_track(
                 "logger", "logger.fifo_depth", complete_cycle, len(self.write_fifo._entries)
             )
@@ -240,7 +240,7 @@ class Logger:
             return
         self._drain_fast(now)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.log_drained is not None:
             sp.log_drained(now)
 
     def flush(self) -> int:
@@ -252,7 +252,7 @@ class Logger:
         if self.write_fifo._entries:
             self._drain_fast(None)
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.log_drained is not None:
                 sp.log_drained(self._service_free)
         return self._service_free
 
@@ -400,7 +400,7 @@ class Logger:
         self.stats.overload_events += 1
         drain_complete = self.flush()
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.logger_overload is not None:
             sp.logger_overload(now, drain_complete)
         if self._fault_handler is not None:
             self._fault_handler.overload(max(now, drain_complete))
@@ -420,7 +420,7 @@ class Logger:
             log_index, cycles = handler.pmt_miss(paddr)
             self._service_free += cycles
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.logging_fault is not None:
                 sp.logging_fault("logger.pmt_fault", complete_cycle, cycles)
             if log_index is None:
                 self.stats.records_dropped += 1
@@ -441,7 +441,7 @@ class Logger:
                 new_addr, cycles = handler.log_boundary(log_index)
                 self._service_free += cycles
                 sp = probe._ACTIVE
-                if sp is not None:
+                if sp is not None and sp.logging_fault is not None:
                     sp.logging_fault("logger.boundary_fault", complete_cycle, cycles)
             if new_addr is None:
                 # Absorb into the default page; records are lost until
@@ -472,7 +472,7 @@ class Logger:
         probe.hit("logger.dma", cycle=complete_cycle)
         dma_done = self.bus.acquire(complete_cycle, self.config.log_dma_bus_cycles)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.logger_dma is not None:
             # hw_ts is the record's own timestamp field, via the one
             # Clock.timestamp definition.
             sp.logger_dma(

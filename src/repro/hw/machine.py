@@ -87,7 +87,7 @@ class Machine:
             cpu.suspend_until(cycle)
         self.clock.advance_to(cycle)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.global_sync is not None:
             # Every CPU resumes from the same kernel-driven barrier:
             # writes before the suspension happen-before writes after.
             sp.global_sync()
@@ -123,7 +123,7 @@ class Machine:
         settle = self.logger.flush()
         self.clock.advance_to(settle)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.global_sync is not None:
             # Quiesce is a machine-wide barrier; everything before it
             # happens-before everything after.
             sp.global_sync()

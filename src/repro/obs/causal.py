@@ -69,6 +69,9 @@ STAGES = (
     "group_commit_wait",
 )
 
+#: Stage -> the histogram its cycles feed, named once, not per request.
+_STAGE_METRICS = {stage: f"serve.stage_cycles.{stage}" for stage in STAGES}
+
 #: Spine stage -> the request stage it charges ("device" goes through
 #: :meth:`CausalTracker.device_enter`).
 _SPINE_STAGES = {
@@ -205,7 +208,7 @@ class CausalTracker:
         ctx = TraceContext(rid, client, op, now)
         self.open[rid] = ctx
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.flow_start is not None:
             sp.flow_start("serve", "serve.req", now, TID_CLIENT_BASE + client, rid)
         return ctx
 
@@ -217,7 +220,7 @@ class CausalTracker:
         ctx.begin(now)
         self.current = [ctx]
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.span_begin is not None:
             # A *begin* span (closed at dispatch_done) rather than a
             # complete one: if a crash kills the server mid-dispatch,
             # this is the open-span stack the postmortem bundle shows.
@@ -235,7 +238,7 @@ class CausalTracker:
         if now is not None and self._dispatch_open:
             self._dispatch_open = False
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.span_end is not None:
                 sp.span_end(now)
 
     def dispatch_abandoned(self) -> None:
@@ -265,8 +268,8 @@ class CausalTracker:
         self.open.pop(ctx.rid, None)
         self.completed.append(ctx)
         sp = probe._ACTIVE
-        if sp is not None:
-            tid = TID_CLIENT_BASE + ctx.client
+        tid = TID_CLIENT_BASE + ctx.client
+        if sp is not None and sp.span is not None:
             sp.span(
                 "serve",
                 "serve.req",
@@ -280,9 +283,11 @@ class CausalTracker:
                     "stages": dict(ctx.stages),
                 },
             )
+        if sp is not None and sp.flow_end is not None:
             sp.flow_end("serve", "serve.req", now, tid, ctx.rid)
+        if sp is not None and sp.observe is not None:
             for stage, cycles in ctx.stages.items():
-                sp.observe(f"serve.stage_cycles.{stage}", cycles)
+                sp.observe(_STAGE_METRICS[stage], cycles)
             sp.observe("serve.request_cycles", ctx.total)
 
     def drop(self, ctx: TraceContext | None) -> None:
@@ -317,7 +322,7 @@ class CausalTracker:
 
     def flow_step(self, ts: int, tid: int = 0) -> None:
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.flow_step is not None:
             for ctx in self.current:
                 sp.flow_step("serve", "serve.req", ts, tid, ctx.rid)
 

@@ -9,13 +9,11 @@ operations leading up to it are available for postmortem analysis
 
 Recording is deliberately dumber than tracing: no categories, no
 nesting, no args dicts — one ``deque.append`` of a small tuple per
-event, cheap enough to leave installed for whole serving runs.  The
-ring append itself is 1.3–1.8% of a run's wall time; the end-to-end
-guard in ``bench_obs_overhead.py`` does not hold yet, because gated
-sites such as ``CPU.now`` reads and the probe dispatch still run with
-only the recorder attached.  The recorder never reads anything but the
-cycle values handed to it and never calls ``compute()``, so a recorded
-run is cycle- and log-record-identical to a bare one.
+event, cheap enough to leave installed for whole serving runs (the
+ring append is 1.3–1.8% of a run's wall time).  The recorder never
+reads anything but the cycle values handed to it and never calls
+``compute()``, so a recorded run is cycle- and log-record-identical
+to a bare one.
 
 The recorder is a :mod:`repro.probe` subscriber (kind ``flight``): it
 maps the spine's stage, serve, logger and fault events to ring

@@ -70,9 +70,11 @@ class Histogram:
     def observe(self, value: int) -> None:
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
+        if self.min is None:
+            self.min = self.max = value
+        elif value < self.min:
             self.min = value
-        if self.max is None or value > self.max:
+        elif value > self.max:
             self.max = value
         k = int(value).bit_length()
         self.buckets[k] = self.buckets.get(k, 0) + 1
@@ -133,7 +135,10 @@ class MetricsRegistry:
         self.counter(name).inc(n)
 
     def observe(self, name: str, value: int) -> None:
-        self.histogram(name).observe(value)
+        h = self._histograms.get(name)
+        if h is None:
+            h = self._histograms[name] = Histogram(name)
+        h.observe(value)
 
     def set_gauge(self, name: str, value) -> None:
         self.gauge(name).set(value)

@@ -5,7 +5,7 @@ debugging all read that one log.  Instrumentation works the same way:
 every instrumented site makes one typed probe call behind one gate::
 
     sp = probe._ACTIVE
-    if sp is not None:
+    if sp is not None and sp.bus_txn is not None:
         sp.bus_txn(request_cycle, start, bus_cycles)
 
 The call names the event and carries its cycles, CPU and payload; it
@@ -15,13 +15,15 @@ test per site.  Each subscriber (metrics and spans, causal tracker,
 flight ring, analytics hub, race detector, fault plan) maps the events
 it handles to callables in ``probes()``.  Every attach or detach builds
 a fresh :class:`Spine` that binds each event of :data:`EVENTS` once: to
-a no-op when nobody subscribes, to the one handler directly, or to a
-fan-out.
+None when nobody subscribes, to the one handler directly, or to a
+fan-out; a site tests its own event before building arguments, so an
+event nobody takes costs one attribute test.
 
 Stages that bracket work (WAL append, device write, flush, barrier,
 commit) are a ``stage_open``/``stage_close`` pair on one gate local,
-the site keeping the start cycle; a CrashPoint in between leaves the
-stage open on purpose, as the postmortem's record.  ``Spine.detail``
+the site keeping the start cycle while the gate is open (either event
+may be bound alone); a CrashPoint in between leaves the stage open on
+purpose, as the postmortem's record.  ``Spine.detail``
 is set while a subscriber needs every record on the generic paths (a
 tracer, or a fault plan whose sites live there), so the fused fast
 loops fall back on one condition::
@@ -41,7 +43,6 @@ attached.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable
 
 from repro.errors import ConfigError
 
@@ -73,10 +74,6 @@ EVENTS = frozenset({
 KINDS = ("obs", "causal", "flight", "analytics", "race", "faults")
 
 
-def _ignore(*args) -> None:
-    return None
-
-
 def _fanout(handlers: tuple):
     # Positional arguments only: keyword passing would double the cost
     # of every fanned-out event.
@@ -99,7 +96,7 @@ class Spine:
         for event in EVENTS:
             handlers = tuple(t[event] for t in tables if event in t)
             if not handlers:
-                fn = _ignore
+                fn = None
             elif len(handlers) == 1:
                 fn = handlers[0]
             else:
@@ -109,11 +106,6 @@ class Spine:
         self.detail = any(
             getattr(sub, "detail", False) for sub in self.subscribers.values()
         )
-
-    def __getattr__(self, event: str) -> Callable[..., Any]:
-        # Reached only for names outside EVENTS: every event is bound
-        # as an instance attribute above.
-        raise AttributeError(f"no probe event {event!r}")
 
     def rids(self) -> tuple:
         """Request ids the running work belongs to (causal tracking)."""
@@ -139,7 +131,7 @@ def hit(site: str, cycle: int | None = None, partial=None) -> None:
     """A fault-injection site: a no-op unless a fault plan is attached,
     whose ``hit`` may then raise CrashPoint (see ``faults.plan``)."""
     sp = _ACTIVE
-    if sp is not None:
+    if sp is not None and sp.hit is not None:
         sp.hit(site, cycle, partial)
 
 

@@ -179,7 +179,8 @@ class RecoverableLibrary:
         sp = probe._ACTIVE
         if sp is not None:
             start = self.proc.now
-            sp.stage_open(f"{self.stage}.flush", start, self.proc.cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open(f"{self.stage}.flush", start, self.proc.cpu.index)
         pending = len(self._pending)
         probe.hit("rvm.flush", cycle=self.proc.now)
         self.wal.append_transactions(self.proc.cpu, self._pending)
@@ -187,7 +188,7 @@ class RecoverableLibrary:
         # must push its batch now (free on the synchronous devices).
         self.disk.flush(self.proc.cpu)
         self._pending.clear()
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close(
                 f"{self.stage}.flush", start, self.proc.now, self.proc.cpu.index,
                 pending, 0, {"pending_commits": pending},
@@ -213,7 +214,8 @@ class RecoverableLibrary:
         sp = probe._ACTIVE
         if sp is not None:
             start = proc.now
-            sp.stage_open(f"{self.stage}.truncate", start, proc.cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open(f"{self.stage}.truncate", start, proc.cpu.index)
         probe.hit("rvm.truncate.begin", cycle=proc.now)
         # Truncation scans the *durable* log (untimed peeks below), so
         # any batch a buffering backend still holds must reach the
@@ -231,7 +233,8 @@ class RecoverableLibrary:
             if per_record:
                 # A fault plan sees every entry at its own cycle; on the
                 # fast path one charge covers the loop (compute adds).
-                sp.hit("rvm.truncate.apply", proc.now)
+                if sp.hit is not None:
+                    sp.hit("rvm.truncate.apply", proc.now)
                 proc.compute(TRUNCATE_PER_RANGE_CYCLES)
             images[entry.seg_id][entry.offset : entry.offset + len(entry.data)] = entry.data
         if not per_record and applied:
@@ -240,7 +243,7 @@ class RecoverableLibrary:
         # Persist the new log head (one I/O), then reclaim the space.
         self.wal.reset(proc.cpu)
         self.disk.flush(proc.cpu)  # the head marker itself must land
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close(
                 f"{self.stage}.truncate", start, proc.now, proc.cpu.index,
                 len(entries), 0, {"entries_applied": len(entries)},

@@ -101,7 +101,8 @@ class RLVMTransaction(LibraryTransaction):
         sp = probe._ACTIVE
         if sp is not None:
             start = proc.now
-            sp.stage_open("rlvm.commit", start, proc.cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("rlvm.commit", start, proc.cpu.index)
         probe.hit("rvm.commit.begin", cycle=proc.now)
         rlvm.machine.sync(proc.cpu)  # wait for in-flight log records
         writes = []
@@ -114,7 +115,7 @@ class RLVMTransaction(LibraryTransaction):
             rseg.log.truncate()
         rlvm._log_commit(self.tid, writes, flush=flush)
         self._finish(committed=True)
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close(
                 "rlvm.commit", start, proc.now, proc.cpu.index, self.tid, len(writes),
                 {"tid": self.tid, "records": len(writes), "flush": flush},
@@ -129,7 +130,8 @@ class RLVMTransaction(LibraryTransaction):
         sp = probe._ACTIVE
         if sp is not None:
             start = proc.now
-            sp.stage_open("rlvm.abort", start, proc.cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("rlvm.abort", start, proc.cpu.index)
         probe.hit("rvm.abort", cycle=proc.now)
         rlvm.machine.sync(proc.cpu)
         for rseg in rlvm.segments.values():
@@ -141,7 +143,7 @@ class RLVMTransaction(LibraryTransaction):
             rlvm.machine.sync(proc.cpu)
             rseg.log.truncate()
         self._finish(committed=False)
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close(
                 "rlvm.abort", start, proc.now, proc.cpu.index, self.tid, 0,
                 {"tid": self.tid}, self._begin_cycle,

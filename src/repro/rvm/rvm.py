@@ -86,7 +86,8 @@ class Transaction(LibraryTransaction):
         sp = probe._ACTIVE
         if sp is not None:
             start = proc.now
-            sp.stage_open("rvm.set_range", start, proc.cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("rvm.set_range", start, proc.cpu.index)
         old = rseg.segment.read_bytes(offset, length)
         self._ranges.append(_Range(rseg, offset, length, old))
         blocks = -(-max(length, 1) // LINE_SIZE)
@@ -95,7 +96,7 @@ class Transaction(LibraryTransaction):
             + UNDO_COPY_PER_BLOCK_CYCLES * blocks
             + REDO_RECORD_CYCLES
         )
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close(
                 "rvm.set_range", start, proc.now, proc.cpu.index, None, None,
                 {"length": length},
@@ -156,7 +157,8 @@ class Transaction(LibraryTransaction):
         sp = probe._ACTIVE
         if sp is not None:
             start = proc.now
-            sp.stage_open("rvm.commit", start, proc.cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("rvm.commit", start, proc.cpu.index)
         probe.hit("rvm.commit.begin", cycle=proc.now)
         writes = []
         for rng in self._ranges:
@@ -165,7 +167,7 @@ class Transaction(LibraryTransaction):
             writes.append((rng.rseg.seg_id, rng.offset, new))
         self.lib._log_commit(self.tid, writes, flush=flush)
         self._finish(committed=True)
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close(
                 "rvm.commit", start, proc.now, proc.cpu.index, self.tid, len(writes),
                 {"tid": self.tid, "ranges": len(writes), "flush": flush},
@@ -179,14 +181,15 @@ class Transaction(LibraryTransaction):
         sp = probe._ACTIVE
         if sp is not None:
             start = proc.now
-            sp.stage_open("rvm.abort", start, proc.cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("rvm.abort", start, proc.cpu.index)
         probe.hit("rvm.abort", cycle=proc.now)
         for rng in reversed(self._ranges):
             rng.rseg.segment.write_bytes(rng.offset, rng.old_data)
             blocks = -(-max(rng.length, 1) // LINE_SIZE)
             proc.compute(UNDO_COPY_PER_BLOCK_CYCLES * blocks + 50)
         self._finish(committed=False)
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close(
                 "rvm.abort", start, proc.now, proc.cpu.index, self.tid, 0,
                 {"tid": self.tid, "ranges": len(self._ranges)},

@@ -112,14 +112,16 @@ class WriteAheadLog:
         if sp is not None:
             # Torn mode: the entry header reaches the disk, the payload
             # does not — the classic crash between header and payload.
-            base = self.base + self.tail
-            sp.hit("wal.append", cpu.now, lambda: self.disk.poke(base, frame[: _HEADER.size]))
+            if sp.hit is not None:
+                base = self.base + self.tail
+                sp.hit("wal.append", cpu.now, lambda: self.disk.poke(base, frame[: _HEADER.size]))
             start = cpu.now
-            sp.stage_open("wal.append", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("wal.append", start, cpu.index)
         self.disk.write(cpu, self.base + self.tail, frame + _TERMINATOR)
         self.tail += len(frame)
         self.appends += 1
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             # Closed only after the write lands, so a CrashPoint raised
             # inside the device's fault hook never emits a span.
             sp.stage_close("wal.append", start, cpu.now, cpu.index, kind.name, len(frame))
@@ -149,7 +151,7 @@ class WriteAheadLog:
         frames = [_write_frame(tid, *write) for write in writes]
         self._group_write(cpu, b"".join(frames), len(frames[0]))
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.observe is not None:
             sp.observe("rvm.wal.group_entries", len(writes))
 
     def append_transactions(
@@ -170,7 +172,7 @@ class WriteAheadLog:
             return
         self._group_write(cpu, b"".join(batches), len(batches[0]))
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.observe is not None:
             sp.observe(
                 "rvm.wal.group_entries",
                 sum(len(writes) + 1 for _tid, writes in txns),
@@ -183,14 +185,17 @@ class WriteAheadLog:
             raise RecoveryError("write-ahead log is full; truncate first")
         sp = probe._ACTIVE
         if sp is not None:
-            base = self.base + self.tail
-            sp.hit("wal.append_group", cpu.now, lambda: self.disk.poke(base, frames[:first_len]))
+            if sp.hit is not None:
+                base = self.base + self.tail
+                sp.hit("wal.append_group", cpu.now,
+                       lambda: self.disk.poke(base, frames[:first_len]))
             start = cpu.now
-            sp.stage_open("wal.append_group", start, cpu.index)
+            if sp.stage_open is not None:
+                sp.stage_open("wal.append_group", start, cpu.index)
         self.disk.write(cpu, self.base + self.tail, frames + _TERMINATOR)
         self.tail += len(frames)
         self.appends += 1
-        if sp is not None:
+        if sp is not None and sp.stage_close is not None:
             sp.stage_close(
                 "wal.append_group", start, cpu.now, cpu.index, len(frames), first_len
             )

@@ -107,7 +107,7 @@ class TxnServer:
         self._next_rid += 1
         ctx = None
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.open_request is not None:
             ctx = sp.open_request(rid, client, op, self._proc.now)
         return await self.channel.call(op, client, *payload, rid=rid, ctx=ctx)
 
@@ -145,7 +145,7 @@ class TxnServer:
     def _dispatch(self, request: Request) -> bool:
         """Serve one request; False ends the loop (shutdown)."""
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.dispatch is not None:
             sp.dispatch(request, self._proc.now)
         try:
             result = self._serve_op(request)
@@ -153,10 +153,10 @@ class TxnServer:
             # Crash mid-dispatch: detach the tracker but leave the
             # dispatch span open — it is the postmortem's record of
             # what the server was doing when it died.
-            if sp is not None:
+            if sp is not None and sp.dispatch_abandoned is not None:
                 sp.dispatch_abandoned()
             raise
-        if sp is not None:
+        if sp is not None and sp.dispatch_done is not None:
             sp.dispatch_done(self._proc.now)
         return result
 
@@ -191,7 +191,7 @@ class TxnServer:
             if self._batch:
                 self._flush_batch()
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.set_gauge is not None:
                 for client, wss in self.client_wss().items():
                     sp.set_gauge(f"serve.client_wss.{client}", wss)
             self._resolve(request, None)
@@ -206,7 +206,7 @@ class TxnServer:
     def _resolve(self, request: Request, value) -> None:
         """Resolve a non-commit request, closing its trace context."""
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.finish is not None:
             sp.finish(request.ctx, self._proc.now)
         request.future.set_result(value)
 
@@ -231,7 +231,7 @@ class TxnServer:
             self._finish_txn()
             self._ack(txn.tid, request, start_cycle)
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.dispatch_done is not None:
                 # The request is acked: truncation work below belongs to
                 # the server, not to the finished context.
                 sp.dispatch_done()
@@ -240,7 +240,7 @@ class TxnServer:
             txn.commit(flush=False)
             self._finish_txn()
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.park is not None:
                 sp.park(request.ctx, self._proc.now)
             self._batch.append((txn.tid, request, start_cycle))
             if len(self._batch) >= self.group_size:
@@ -255,14 +255,14 @@ class TxnServer:
         acknowledged, so their clients must see the failure.
         """
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.adopt_batch is not None:
             contexts = [request.ctx for _tid, request, _start in self._batch]
             sp.adopt_batch(contexts, self._proc.now)
         self.lib.flush()
         batch, self._batch = self._batch, []
         for tid, request, start_cycle in batch:
             self._ack(tid, request, start_cycle)
-        if sp is not None:
+        if sp is not None and sp.dispatch_done is not None:
             sp.dispatch_done()
         self._maybe_truncate()
 
@@ -285,7 +285,7 @@ class TxnServer:
         self.acked.append(tid)
         self.commit_latencies.append(latency)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.acked is not None:
             sp.acked(request, self._proc.now, tid, latency, self._backend_name)
         request.future.set_result(latency)
 
@@ -309,7 +309,7 @@ class TxnServer:
         self.crash_inflight = inflight
         error = ServeCrashed(crash, inflight)
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.drop is not None:
             for req in unserved:
                 sp.drop(req.ctx)
         if request is not None and not request.future.done():

@@ -151,7 +151,7 @@ class TimeWarpSimulation:
         arrival = sender.proc.now + self.latency_cycles
         self._seq += 1
         sp = probe._ACTIVE
-        if sp is not None:
+        if sp is not None and sp.msg_send is not None:
             # A cross-scheduler message is a release: the receiver's
             # acquire in _ingest orders the sender's earlier writes
             # before everything the receiver does next.
@@ -165,7 +165,7 @@ class TimeWarpSimulation:
         sp = probe._ACTIVE
         while inbox and inbox[0][0] <= now:
             _, _, message = heapq.heappop(inbox)
-            if sp is not None:
+            if sp is not None and sp.msg_recv is not None:
                 sp.msg_recv(scheduler.proc.cpu.index, id(message))
             scheduler.receive(message)
 
@@ -202,7 +202,7 @@ class TimeWarpSimulation:
             for sched in self.schedulers:
                 sched.fossil_collect(gvt)
             sp = probe._ACTIVE
-            if sp is not None:
+            if sp is not None and sp.tw_gvt is not None:
                 sp.tw_gvt(self.machine.clock.now, gvt)
 
     # ------------------------------------------------------------------

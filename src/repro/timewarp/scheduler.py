@@ -204,7 +204,7 @@ class Scheduler:
             return False
         event = self._pop()
         sp = probe._ACTIVE
-        step_start = self.proc.now if sp is not None else 0
+        step_start = self.proc.now if sp is not None and sp.tw_event is not None else 0
         self.proc.compute(DISPATCH_CYCLES)
         if event.recv_time != self.lvt:
             self.lvt = event.recv_time
@@ -220,7 +220,7 @@ class Scheduler:
         self._current = None
         self.processed.append(record)
         self.events_processed += 1
-        if sp is not None:
+        if sp is not None and sp.tw_event is not None:
             sp.tw_event(
                 step_start, self.proc.now, self.proc.cpu.index, event, len(record.sends)
             )
@@ -240,7 +240,7 @@ class Scheduler:
         """Undo every processed event with receive time >= ``vt``."""
         self.rollback_count += 1
         sp = probe._ACTIVE
-        rollback_start = self.proc.now if sp is not None else 0
+        rollback_start = self.proc.now if sp is not None and sp.tw_rollback is not None else 0
         undone: list[ProcessedEvent] = []
         while self.processed and self.processed[-1].event.recv_time >= vt:
             undone.append(self.processed.pop())
@@ -261,7 +261,7 @@ class Scheduler:
         # Restore memory state.
         self.saver.rollback(vt)
         self.lvt = self.processed[-1].event.recv_time if self.processed else 0
-        if sp is not None:
+        if sp is not None and sp.tw_rollback is not None:
             sp.tw_rollback(
                 rollback_start, self.proc.now, self.proc.cpu.index,
                 vt, len(undone), antimessages,

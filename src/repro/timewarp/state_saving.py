@@ -321,7 +321,8 @@ class LVMStateSaver(StateSaver):
                     if value >= stop_vt:
                         return span_start + index * stride, applied
                     continue
-                sp.hit("timewarp.rollback.restore", proc.now)
+                if sp.hit is not None:
+                    sp.hit("timewarp.rollback.restore", proc.now)
                 write(seg_offset, value, size)
                 proc.compute(APPLY_RECORD_CYCLES)
                 applied += 1

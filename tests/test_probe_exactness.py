@@ -6,7 +6,9 @@ never crashes here: it counts site hits and must change nothing else.  Machine c
 the hardware log's record bytes and (for the serve runs) acks,
 latencies, WAL entries and the durable device bytes must equal the
 bare run exactly.  A liveness check per subscriber makes sure it was
-really in the loop, not a bystander.
+really in the loop, not a bystander.  The ``unbound`` row attaches a
+subscriber that binds nothing: the gate is open and every event is
+None, so a site that calls its event without testing it fails here.
 """
 
 from __future__ import annotations
@@ -58,6 +60,18 @@ def _traced_obs():
     return obscore.Observability(tracer=Tracer(), profiler=CycleProfiler())
 
 
+class Unbound:
+    """Attached, subscribing to nothing: the gate is open but every
+    event is None, so each site the workload reaches must skip it."""
+
+    def __init__(self):
+        self.spines = 0
+
+    def probes(self):
+        self.spines += 1
+        return {}
+
+
 #: kind -> (installed() context factory, subscriber factory).
 SUBSCRIBERS = {
     "obs-traced": (obscore.installed, _traced_obs),
@@ -67,6 +81,8 @@ SUBSCRIBERS = {
     "analytics": (anstream.installed, anstream.AnalyticsHub),
     "race": (race.installed, race.LogRaceDetector),
     "faults": (faultplan.installed, faultplan.FaultPlan),
+    # Any kind's slot will do.
+    "unbound": (obscore.installed, Unbound),
 }
 ALL = ("obs-traced", "causal", "flight", "analytics", "race", "faults")
 CONFIGS = [(kind,) for kind in SUBSCRIBERS] + [ALL]
@@ -123,6 +139,8 @@ def _assert_live(kind: str, sub, workload: str, result: dict) -> None:
             assert sub.writes_checked > 0 and sub.races_seen == 0
     elif kind == "faults":
         assert sub.counts and not sub.fired
+    elif kind == "unbound":
+        assert sub.spines > 0
     elif kind.startswith("obs"):
         counters = sub.metrics.snapshot()["counters"]
         assert counters
