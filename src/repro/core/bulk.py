@@ -319,8 +319,10 @@ def _write_run_bus_logged(cpu, machine, plan, write, span):
 
     Inlines, per word, the exact sequence of ``CPU.write_through`` →
     ``SystemBus.write_transaction`` → ``Logger.snoop_write`` (drain then
-    push), including the logger's NORMAL-mode record processing and the
-    overload interrupt's FIFO flush.  Words are queued as the write
+    push), including the logger's NORMAL-mode record processing.  An
+    overload interrupt calls ``Logger._handle_overload``, the one
+    overload path, which drains the backlog a run at a time and emits
+    the overload's probe events.  Words are queued as the write
     FIFO's one entry format, ``(ready, paddr, value, size)``, so entries
     left queued when the run ends need no conversion and an older entry
     from the bus snoop drains the same way.  Any record the fused drain
@@ -420,12 +422,10 @@ def _write_run_bus_logged(cpu, machine, plan, write, span):
         head_done = _INFINITY
 
     def drain(limit):
-        """Service queued records: ``Logger.drain``/``flush`` fused.
-
-        ``limit`` is the bus cycle up to which service may complete
-        (None = flush everything).  It repeats ``Logger._drain_fast`` on
-        purpose: calling one shared loop measured ~16% slower
-        ``bulk_copy`` p50 (DESIGN.md §5.1).
+        """Service the queued records that complete by bus cycle
+        ``limit``: ``Logger.drain`` fused.  It repeats the bounded form
+        of ``Logger._drain_fast`` on purpose: calling one shared loop
+        measured ~16% slower ``bulk_copy`` p50 (DESIGN.md §5.1).
         """
         nonlocal free, busy, bus_busy, transactions, logged, lookups
         nonlocal cached_ppn, cached_log, cached_entry, cached_sink
@@ -434,7 +434,7 @@ def _write_run_bus_logged(cpu, machine, plan, write, span):
             ready, wpaddr, wvalue, wsize = entries[0]
             start = ready if ready > free else free
             done = start + service
-            if limit is not None and done > limit:
+            if done > limit:
                 head_done = done
                 return
             entries.popleft()
@@ -553,12 +553,8 @@ def _write_run_bus_logged(cpu, machine, plan, write, span):
             if occupancy > high_water:
                 high_water = occupancy
             if occupancy > threshold:
-                # Overload interrupt: Logger._handle_overload with the
-                # flush done by the fused drain, then the kernel's
-                # suspension via the generic handler.
-                logger_stats.overload_events += 1
-                drain(None)
-                drain_complete = free
+                # Overload interrupt: the logger's one overload path,
+                # with the shared state synchronised around it.
                 fifo.high_water_mark = high_water
                 logger._service_free = free
                 bus._busy_until = busy
@@ -571,16 +567,12 @@ def _write_run_bus_logged(cpu, machine, plan, write, span):
                 bus.transaction_count += transactions
                 transactions = 0
                 cpu._now = now
-                clock.advance_to(complete)
-                if handler is not None:
-                    handler.overload(
-                        drain_complete if drain_complete > complete else complete
-                    )
-                clock.advance_to(drain_complete)
+                logger._handle_overload(complete)
                 free = logger._service_free
                 busy = bus._busy_until
                 resume_at = cpu._resume_at
                 high_water = fifo.high_water_mark
+                head_done = _INFINITY
                 last_line = -1
                 cached_ppn = cached_log = cached_fpn = -1
         # --- CPU.write_through back half

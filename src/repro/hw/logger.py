@@ -27,7 +27,10 @@ the kernel through the :class:`LoggingFaultHandler` protocol.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Protocol
+
+import numpy as np
 
 from repro import probe
 from repro.hw.bus import SystemBus
@@ -40,6 +43,7 @@ from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE, MachineConfig
 from repro.hw.records import RECORD_STRUCT, encode_record
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+_PAGE_MASK = PAGE_SIZE - 1
 _UNSET = object()
 
 
@@ -269,11 +273,14 @@ class Logger:
         back to the generic :meth:`_process`, which produces bit-identical
         state to the old record-at-a-time loop.
 
-        The bulk engine's ``drain`` closure in
-        ``core/bulk._write_run_bus_logged`` repeats this loop on
-        purpose: sharing one loop measured ~16% slower ``bulk_copy``
-        p50, and always using :meth:`_process` here ~5% slower
-        ``tw_phased`` (DESIGN.md §5.1).
+        :meth:`drain` and :meth:`flush` (``Machine.sync``/``quiesce``)
+        come here, where a backlog is mostly a handful of records; an
+        overload drain, hundreds of records long, is served by runs
+        instead (:meth:`_drain_runs`).  The bulk engine's ``drain`` closure in
+        ``core/bulk._write_run_bus_logged`` repeats the bounded form of
+        this loop on purpose: sharing one loop measured ~16% slower
+        ``bulk_copy`` p50, and always using :meth:`_process` here ~5%
+        slower ``tw_phased`` (DESIGN.md §5.1).
         """
         entries = self.write_fifo._entries
         service = self.config.logger_service_cycles
@@ -395,16 +402,148 @@ class Logger:
         pmt.lookup_count += lookups
 
     def _handle_overload(self, now: int) -> None:
-        """FIFO crossed the threshold: interrupt and drain (section 3.1.3)."""
+        """FIFO crossed the threshold: interrupt and drain (section 3.1.3).
+
+        The one overload path: the bus snoop and the bulk engine's
+        fused loop both raise it here, with the FIFO holding more than
+        its threshold of entries.
+        """
         probe.hit("logger.overload", cycle=now)
         self.stats.overload_events += 1
-        drain_complete = self.flush()
         sp = probe._ACTIVE
+        if sp is not None and sp.detail:
+            self._drain_fast(None)
+        else:
+            self._drain_runs()
+        drain_complete = self._service_free
+        if sp is not None and sp.log_drained is not None:
+            sp.log_drained(drain_complete)
         if sp is not None and sp.logger_overload is not None:
             sp.logger_overload(now, drain_complete)
         if self._fault_handler is not None:
             self._fault_handler.overload(max(now, drain_complete))
         self.clock.advance_to(drain_complete)
+
+    def _drain_runs(self) -> None:
+        """Service the whole backlog a run at a time.
+
+        A run is a stretch of consecutive entries on one source page
+        whose records go to one NORMAL-mode, valid, non-absorbing
+        log-table entry; it ends at the end of that entry's log page.
+        Each run is timed and packed as numpy columns: with ``s`` the
+        service time, entry ``i`` of a run completes at ``done_i =
+        s·(i+1) + max(free, cummax(ready_j − s·j))``, the DMA tail of
+        ``m`` records with ``d`` bus cycles each is ``d·m + max(busy,
+        max(done_j − d·j))``, and the records are written into the log
+        frame with one slice.  Counters and the sink's accounting move
+        once per run.  An entry no run can take (PMT miss, boundary
+        fault, absorbing log, special mode) goes through
+        :meth:`_process` between runs, exactly as :meth:`_drain_fast`
+        sends it there.
+        """
+        entries = self.write_fifo._entries
+        popleft = entries.popleft
+        n = len(entries)
+        try:
+            cols = np.fromiter(chain.from_iterable(entries), np.int64, 4 * n).reshape(n, 4)
+        except OverflowError:
+            # A stored value past 64 bits (records keep its low 32 bits,
+            # which the record-at-a-time loop takes from any int).
+            self._drain_fast(None)
+            return
+        ppns = cols[:, 1] >> _PAGE_SHIFT
+        # End of each source-page stretch (exclusive), in entry order.
+        page_ends = (np.flatnonzero(ppns[1:] != ppns[:-1]) + 1).tolist()
+        page_ends.append(n)
+        service = self.config.logger_service_cycles
+        dma_cycles = self.config.log_dma_bus_cycles
+        index = np.arange(n, dtype=np.int64)
+        service_end = service * (index + 1)
+        slack = cols[:, 0] - service * index
+        dma_index = dma_cycles * index
+        # addr, value, size (the flags half of that word is 0), timestamp
+        records = np.empty((n, 4), "<u4")
+        records[:, :3] = cols[:, 1:] & 0xFFFFFFFF
+        divider = self.clock._timestamp_divider
+        pmt = self.pmt
+        slots = pmt._slots
+        index_mask = pmt._index_mask
+        index_bits = pmt.index_bits
+        lt_entries = self.log_table._entries
+        modes = self._modes
+        absorbing = self._absorbing
+        handler = self._fault_handler
+        bus = self.bus
+        frames = self.memory._frames
+        stats = self.stats
+        normal = LogMode.NORMAL
+        sinks: dict[int, object] = {}
+        i = 0
+        page = 0
+        while i < n:
+            while page_ends[page] <= i:
+                page += 1
+            ppn = int(ppns[i])
+            slot = slots.get(ppn & index_mask)
+            entry = None
+            if slot is not None and slot.tag == ppn >> index_bits:
+                log_index = slot.log_index
+                entry = lt_entries.get(log_index)
+            if (
+                entry is None
+                or not entry.valid
+                or log_index in absorbing
+                or modes.get(log_index, normal) is not normal
+            ):
+                # PMT miss, boundary fault, absorbing log or special mode.
+                ready, paddr, value, size = popleft()
+                free = self._service_free
+                complete = (ready if ready > free else free) + service
+                self._service_free = complete
+                self._process(paddr, value, size, complete)
+                i += 1
+                continue
+            dest = entry.log_address
+            end = min(page_ends[page], i + (PAGE_SIZE - (dest & _PAGE_MASK)) // LOG_RECORD_SIZE)
+            m = end - i
+            done = service_end[i:end] + np.maximum(
+                np.maximum.accumulate(slack[i:end]), self._service_free - service * i
+            )
+            self._service_free = int(done[-1])
+            tail = int((done - dma_index[i:end]).max()) + dma_cycles * i
+            busy = bus._busy_until
+            bus._busy_until = dma_cycles * m + (tail if tail > busy else busy)
+            bus.total_busy_cycles += dma_cycles * m
+            bus.transaction_count += m
+            pmt.lookup_count += m
+            stats.records_logged += m
+            records[i:end, 3] = (done // divider) & 0xFFFFFFFF
+            payload = records[i:end].tobytes()
+            advanced = dest + len(payload)
+            entry.log_address = advanced
+            if not advanced & _PAGE_MASK:
+                entry.valid = False
+            frame = frames.get(dest >> _PAGE_SHIFT)
+            if frame is not None:
+                offset = dest & _PAGE_MASK
+                frame.data[offset : offset + len(payload)] = payload
+            else:
+                self.memory.write_bytes(dest, payload)
+            if handler is not None:
+                sink = sinks.get(log_index, _UNSET)
+                if sink is _UNSET:
+                    getlog = getattr(handler, "log_segment_for", None)
+                    sink = getlog(log_index) if getlog is not None else None
+                    sinks[log_index] = sink
+                if sink is None:
+                    for record_dest in range(dest, advanced, LOG_RECORD_SIZE):
+                        handler.record_written(log_index, record_dest, LOG_RECORD_SIZE)
+                else:
+                    sink.append_offset += len(payload)
+                    sink.records_appended += m
+            for _ in range(m):
+                popleft()
+            i = end
 
     def _process(self, paddr: int, value: int, size: int, complete_cycle: int) -> None:
         """Run one write through PMT → log table → record FIFO → DMA."""

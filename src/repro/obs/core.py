@@ -228,17 +228,21 @@ class Observability:
         ``a``/``b`` are the stage's two scalar descriptors (what, how
         many); library stages (``rvm.*``/``rlvm.*``) carry their span
         ``args`` and, for commit and abort, the transaction's ``begin``.
+        Spans are built only for a tracer or profiler to take.
         """
         inc = self.metrics.inc
+        spans = self.tracer is not None or self.profiler is not None
         if site == "wal.append":
             inc("rvm.wal.appends")
             inc("rvm.wal.bytes", b)
-            self.span("wal", site, start, now, tid, {"kind": a, "bytes": b})
+            if spans:
+                self.span("wal", site, start, now, tid, {"kind": a, "bytes": b})
         elif site == "wal.append_group":
             inc("rvm.wal.appends")
             inc("rvm.wal.bytes", a)
             self.metrics.observe("rvm.wal.group_bytes", a)
-            self.span("wal", site, start, now, tid, {"bytes": a})
+            if spans:
+                self.span("wal", site, start, now, tid, {"bytes": a})
         elif site in ("device.write", "device.read"):
             # The I/O cost is charged to the issuing CPU (these devices
             # have no concurrent transfer engine), so the span lives on
@@ -248,8 +252,9 @@ class Observability:
                 inc("rvm.disk.bytes_written", b)
             else:
                 inc("rvm.disk.reads")
-            name = "disk." + site[7:]
-            self.span("disk", name, start, now, tid, {"bytes": b, "backend": a})
+            if spans:
+                name = "disk." + site[7:]
+                self.span("disk", name, start, now, tid, {"bytes": b, "backend": a})
         elif site == "device.buffer":
             inc("rvm.disk.buffered_writes")
             inc("rvm.disk.bytes_buffered", b)
@@ -264,6 +269,8 @@ class Observability:
             inc(_LIBRARY_COUNTERS[op])
             if begin is not None:
                 self.metrics.observe("rvm.txn_cycles", now - begin)
+            if not spans:
+                return
             if op in ("commit", "flush"):
                 sp = probe._ACTIVE
                 rids = sp.rids() if sp is not None else ()

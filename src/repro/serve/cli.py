@@ -69,9 +69,16 @@ async def _client(server: TxnServer, client_id: int, txns: int, writes: int, see
 
 async def _drive(server: TxnServer, clients: int, txns: int, writes: int, seed: int):
     serve_task = asyncio.ensure_future(server.serve())
-    results = await asyncio.gather(
+    client_tasks = asyncio.gather(
         *(_client(server, c, txns, writes, seed) for c in range(clients))
     )
+    # A server that dies of anything but a CrashPoint answers no client
+    # again: raise its error instead of waiting on them.
+    await asyncio.wait((serve_task, client_tasks), return_when=asyncio.FIRST_COMPLETED)
+    if serve_task.done() and serve_task.exception() is not None:
+        client_tasks.cancel()
+        raise serve_task.exception()
+    results = await client_tasks
     if server.crashed is None:
         await ClientSession(server, -1).shutdown()
     await serve_task

@@ -27,6 +27,8 @@ from repro.core.segment import StdSegment
 from repro.errors import ProtectionError, SegmentError, UnmappedAddressError
 from repro.hw.logger import Logger, LogMode
 from repro.hw.params import NEXT_GENERATION, PAGE_SIZE, MachineConfig
+from repro.obs import core as obscore
+from repro.obs.core import Observability
 from repro.sanitize import race
 
 BASE = MachineConfig(memory_bytes=32 * 1024 * 1024)
@@ -285,6 +287,21 @@ class TestSidePathExactness:
         state = run_pair(build_region(), drive, config=config)
         assert state["logger_stats"]["overload_events"] > 0
         assert state["cpu_stats"]["suspend_cycles"] > 0
+
+    def test_fused_overload_reaches_subscribers(self):
+        # A metrics-only Observability keeps the fused loop; each of its
+        # overloads must reach the spine as the word loop's do.
+        payload = random.Random(11).randbytes(16 * PAGE_SIZE)
+
+        def drive(m, ctx, bp):
+            with obscore.installed(Observability()) as obs:
+                store(m, ctx["va"], payload, bp)
+            drains = obs.metrics.value("hw.logger.overload_drains")
+            assert drains == m.logger.stats.overload_events
+            return drains
+
+        state = run_pair(build_region(size=16 * PAGE_SIZE), drive)
+        assert state["logger_stats"]["overload_events"] > 0
 
     def test_pmt_conflict_misses(self):
         # A 2-entry PMT with two logged pages landing on the same index:

@@ -25,6 +25,7 @@ from repro.rvm.rlvm import RLVM
 from repro.rvm.rvm import RVM
 from repro.rvm.wal import EntryKind
 from repro.serve.channel import Channel
+from repro.serve import cli as serve_cli
 from repro.serve.cli import main as serve_main
 from repro.serve.server import ClientSession, ServeCrashed, TxnServer
 
@@ -258,6 +259,22 @@ class TestServeCli:
             serve_main(["--crash-site", "no.such.site", *self.ARGS])
         assert exc.value.code != 0
         assert "invalid choice: 'no.such.site'" in capsys.readouterr().err
+
+    def test_a_failing_server_raises_instead_of_hanging(self, monkeypatch):
+        # An error other than a CrashPoint escaping TxnServer.serve
+        # answers no client: _drive raises it instead of waiting.
+        async def broken(server):
+            raise RuntimeError("server died")
+
+        monkeypatch.setattr(TxnServer, "serve", broken)
+        machine = boot(SERVE_CONFIG)
+        try:
+            library = RVM(machine.current_process, disk=make_backend("ram", DEVICE_BYTES))
+            server = TxnServer(library, seg_bytes=8192)
+            with pytest.raises(RuntimeError, match="server died"):
+                asyncio.run(asyncio.wait_for(serve_cli._drive(server, 2, 1, 1, 1995), 5))
+        finally:
+            set_current_machine(None)
 
     def test_crash_that_never_fires_exits_1(self, capsys):
         argv = ["--crash-site", "backend.flush", "--crash-nth", "99", *self.ARGS]
