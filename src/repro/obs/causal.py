@@ -48,6 +48,13 @@ Batched requests each get charged the *full* shared flush cost — the
 per-request sums stay exact, at the price of the stage histograms
 over-counting shared work when ``group_size > 1`` (DESIGN.md §9).
 
+At ack the tracker emits the finished context onto the spine as one
+``request_done`` event; it reads no other subscriber.  The metrics
+layer (:class:`~repro.obs.core.Observability`) keeps the contexts and
+folds them into the ``serve.stage_cycles.<stage>`` and
+``serve.request_cycles`` histograms only when a snapshot is taken, so
+a run pays one event per request, not one histogram update per stage.
+
 Sites reach the tracker only through the spine's one gate; a detached
 tracker costs nothing.  The tracker only *reads* cycle values — it
 never advances any clock — so a tracked run is cycle- and
@@ -68,9 +75,6 @@ STAGES = (
     "barrier",
     "group_commit_wait",
 )
-
-#: Stage -> the histogram its cycles feed, named once, not per request.
-_STAGE_METRICS = {stage: f"serve.stage_cycles.{stage}" for stage in STAGES}
 
 #: Spine stage -> the request stage it charges ("device" goes through
 #: :meth:`CausalTracker.device_enter`).
@@ -261,7 +265,8 @@ class CausalTracker:
             ctx.park(now)
 
     def finish(self, ctx: TraceContext | None, now: int) -> None:
-        """Ack: close the context, emit its client span + flow end."""
+        """Ack: close the context, emit its client span, flow end and
+        the finished context itself (``request_done``)."""
         if ctx is None or ctx.done:
             return
         ctx.finish(now)
@@ -285,10 +290,8 @@ class CausalTracker:
             )
         if sp is not None and sp.flow_end is not None:
             sp.flow_end("serve", "serve.req", now, tid, ctx.rid)
-        if sp is not None and sp.observe is not None:
-            for stage, cycles in ctx.stages.items():
-                sp.observe(_STAGE_METRICS[stage], cycles)
-            sp.observe("serve.request_cycles", ctx.total)
+        if sp is not None and sp.request_done is not None:
+            sp.request_done(ctx)
 
     def drop(self, ctx: TraceContext | None) -> None:
         """Forget a context without acking (crash/failure path)."""

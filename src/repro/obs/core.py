@@ -13,12 +13,20 @@ does, and they fall back to the exact generic paths, so an enabled
 trace observes a run that is cycle-identical to the untraced one.  Metrics-only observability keeps the fast paths (its counters
 are polled or batched) and is also cycle-identical; the overhead bench
 guards both properties.
+
+Serve request histograms are folded, not observed: the causal
+tracker's ``request_done`` event hands over each finished request's
+:class:`~repro.obs.causal.TraceContext`, which is appended to
+:attr:`Observability.requests`, and a polled source rebuilds
+``serve.request_cycles`` and ``serve.stage_cycles.<stage>`` from that
+list at every snapshot.  The run pays one append per request; the
+snapshot pays the fold.
 """
 
 from __future__ import annotations
 
 from repro import probe
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.profiler import CycleProfiler
 from repro.obs.trace import TID_BUS, TID_LOGGER, Tracer
 
@@ -31,6 +39,25 @@ _LIBRARY_COUNTERS = {
     "truncate": "rvm.truncates",
     "set_range": "rvm.set_ranges",
 }
+
+
+def _fold_requests(requests: list, reg: MetricsRegistry) -> None:
+    """Polled source: rebuild the serve request histograms from the
+    finished contexts, replacing the last snapshot's, so repeated
+    snapshots agree."""
+    if not requests:
+        return
+    hists = reg._histograms
+    request = hists["serve.request_cycles"] = Histogram("serve.request_cycles")
+    stages: dict[str, Histogram] = {}
+    for ctx in requests:
+        for stage, cycles in ctx.stages.items():
+            h = stages.get(stage)
+            if h is None:
+                name = f"serve.stage_cycles.{stage}"
+                h = stages[stage] = hists[name] = Histogram(name)
+            h.observe(cycles)
+        request.observe(ctx.total)
 
 
 class Observability:
@@ -49,6 +76,12 @@ class Observability:
         #: (its category was enabled) — a disabled inner span's end must
         #: not close an enabled outer span.
         self._traced: dict[int, list[bool]] = {}
+        #: finished serve request contexts (``request_done``), ack order
+        requests: list = []
+        self.requests = requests
+        # A closure over the list, not a bound method: a registry that
+        # referred back to this object would keep it for the cyclic GC.
+        self.metrics.add_source(lambda reg: _fold_requests(requests, reg))
 
     # ------------------------------------------------------------------
     # Span interface: tracer (category-gated) + profiler together
@@ -137,6 +170,7 @@ class Observability:
             "tw_gvt": self._tw_gvt,
             "stage_close": self._stage_close,
             "acked": self._acked,
+            "request_done": self.requests.append,
         }
         # Trace-only events are not subscribed at all without a tracer
         # (nor spans without a tracer or profiler to feed).

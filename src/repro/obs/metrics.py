@@ -9,6 +9,10 @@ Two feeding mechanisms, chosen per metric by cost:
   read counters the components already maintain (``CpuStats``,
   ``LoggerStats``, bus occupancy, FIFO high water, ...).  These cost
   nothing during the run; they execute once, at :meth:`snapshot` time.
+  The serve request histograms (``serve.request_cycles``,
+  ``serve.stage_cycles.<stage>``) are polled too: a source folds the
+  finished requests' trace contexts into fresh histograms at each
+  snapshot, replacing the previous ones.
 
 Histogram buckets are powers of two: observation ``v`` lands in bucket
 ``v.bit_length()``, i.e. bucket *k* counts values in ``[2^(k-1), 2^k)``.

@@ -62,9 +62,10 @@ EVENTS = frozenset({
     # rvm/backends: bracketing stages
     "stage_open", "stage_close",
     # serve: one request's life (``open_request`` returns the request's
-    # trace context; only the causal tracker subscribes to it)
+    # trace context; only the causal tracker subscribes to it), then
+    # the tracker's finished context (``request_done``)
     "open_request", "dispatch", "dispatch_done", "dispatch_abandoned",
-    "adopt_batch", "park", "finish", "acked", "drop",
+    "adopt_batch", "park", "finish", "acked", "drop", "request_done",
     # faults: the plan's injection hooks, then what it reports
     "hit", "disk_write", "disk_barrier", "fifo_push",
     "fault_hit", "fault_crash",

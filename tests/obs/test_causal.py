@@ -17,6 +17,7 @@ from repro.obs import flight as obsflight
 from repro.obs.causal import STAGES, TraceContext
 from repro.obs.cli import run_traced_serve
 from repro.obs.core import Observability
+from repro.obs.metrics import Histogram
 from repro.obs.trace import validate_trace
 from repro.serve.cli import run_serve
 
@@ -69,8 +70,8 @@ class TestTraceContextArithmetic:
         assert ctx.ack_cycle == 20
 
 
-def _instrumented_run(group, workload):
-    with obscore.installed(Observability()):
+def _instrumented_run(group, workload, obs=None):
+    with obscore.installed(obs):
         with causal.installed() as tracker:
             with obsflight.installed():
                 result = run_serve(group=group, **workload)
@@ -151,3 +152,59 @@ class TestFlowLinkage:
         assert hist["serve.request_cycles"]["count"] == len(tracker.completed)
         assert "serve.stage_cycles.queue_wait" in hist
         assert "serve.stage_cycles.wal_append" in hist
+
+
+def _request_histograms(snapshot):
+    return {
+        name: h
+        for name, h in snapshot["histograms"].items()
+        if name == "serve.request_cycles" or name.startswith("serve.stage_cycles.")
+    }
+
+
+class TestFoldedRequestHistograms:
+    """The request histograms are folded from the finished contexts at
+    snapshot time, not observed stage by stage during the run."""
+
+    @_RUNS
+    def test_fold_equals_observing_every_stage_in_ack_order(self, group, workload):
+        obs = Observability()
+        tracker, _ = _instrumented_run(group, workload, obs)
+        assert obs.requests == tracker.completed
+        expected: dict[str, Histogram] = {}
+        for ctx in tracker.completed:
+            for stage, cycles in ctx.stages.items():
+                name = f"serve.stage_cycles.{stage}"
+                expected.setdefault(name, Histogram(name)).observe(cycles)
+            name = "serve.request_cycles"
+            expected.setdefault(name, Histogram(name)).observe(ctx.total)
+        assert _request_histograms(obs.metrics.snapshot()) == {
+            name: h.snapshot() for name, h in expected.items()
+        }
+
+    @_RUNS
+    def test_consecutive_snapshots_are_equal(self, group, workload):
+        obs = Observability()
+        _instrumented_run(group, workload, obs)
+        first = obs.metrics.snapshot()
+        assert first["histograms"]["serve.request_cycles"]["count"] == len(obs.requests)
+        assert obs.metrics.snapshot() == first
+
+    def test_one_request_done_per_request_and_no_observe(self):
+        class Counting:
+            def __init__(self):
+                self.done = []
+                self.observed = []
+
+            def probes(self):
+                return {"request_done": self.done.append, "observe": self.observe}
+
+            def observe(self, name, value):
+                self.observed.append(name)
+
+        counting = Counting()
+        tracker, _ = _instrumented_run(1, _WORKLOAD, counting)
+        assert not tracker.open and tracker.completed
+        # One event per finished request, carrying its context.
+        assert counting.done == tracker.completed
+        assert not [n for n in counting.observed if n.startswith("serve.")]

@@ -54,26 +54,23 @@ class TestDeepRepoClean:
         assert offenders == []
 
 
+def _ack_clean(fn):
+    """The LVM101 ack-clean facts for ``TxnServer.<fn>``, at any line."""
+    prefix = f"lvm101 ack-clean repro/serve/server.py::TxnServer.{fn}:"
+    return [f for f in _result().facts if f.startswith(prefix)]
+
+
 class TestDurabilityFacts:
     """LVM101 must have verified the three serving paths by name."""
 
     def test_sync_commit_ack_verified(self):
-        assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._commit:232"
-            in _result().facts
-        )
+        assert len(_ack_clean("_commit")) == 1
 
     def test_group_commit_ack_verified(self):
-        assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._flush_batch:264"
-            in _result().facts
-        )
+        assert len(_ack_clean("_flush_batch")) == 1
 
     def test_ack_helper_verified(self):
-        assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._ack:290"
-            in _result().facts
-        )
+        assert len(_ack_clean("_ack")) == 1
 
     def test_crash_paths_ack_free(self):
         facts = _result().facts
